@@ -6,7 +6,6 @@ from .channels import (
     BscState,
     ContinuousBscComposite,
     DiscreteComposite,
-    Dmc,
     GilbertElliott,
     PointMassDensity,
     binary_entropy,
@@ -22,7 +21,6 @@ from .channels import (
 from .spectrum import (
     EmpiricalCdf,
     Quantile,
-    SpectrumSample,
     cdf_quantile,
     estimate_spectrum,
     info_density_bec,
@@ -39,12 +37,12 @@ from .capacity import (
     mean_state_capacity,
     outage_curve,
     shannon_capacity,
-    subchannel_capacity,
 )
 from .layering import (
     CutoffPair,
     LayerProfile,
     RateProfile,
+    SolverError,
     bec_bc_expected_rate,
     bec_bc_region,
     bergmans_rates,

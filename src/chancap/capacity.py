@@ -144,17 +144,6 @@ def _continuous_pq(composite: ContinuousBscComposite, q: float) -> float:
     return float(grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
 
 
-def subchannel_capacity(composite, q: float) -> float:
-    """Shannon capacity of the best probability-q compatible subchannel.
-
-    Removing the worst states of total mass <= q and taking the Shannon
-    capacity of the remainder coincides with capacity_vs_outage on
-    degraded (parameter-ordered) families; both call the same
-    worst-survivor search so the identity is exact.
-    """
-    return capacity_vs_outage(composite, q)
-
-
 def outage_curve(composite, q_grid) -> OutageCurve:
     q = np.asarray(q_grid, dtype=float)
     if q.ndim != 1 or q.size == 0:

@@ -83,37 +83,6 @@ def bec_capacity(alpha):
 
 
 @dataclass(frozen=True)
-class Dmc:
-    """A discrete memoryless channel given by a row-stochastic matrix.
-
-    Container only: capacity computations in this package cover the
-    BSC/BEC/Gilbert-Elliott families, where the optimizing input is
-    uniform by symmetry.  A general-DMC capacity path (Blahut-Arimoto)
-    would be an extension, and is deliberately not guessed at here.
-    """
-
-    transition: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
-        if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] < 1:
-            raise ValueError("Dmc: transition must be a 2-D matrix")
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise ValueError("Dmc: entries must be probabilities")
-        if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("Dmc: each row must sum to 1 within 1e-12")
-        object.__setattr__(self, "transition", t)
-
-    @property
-    def input_size(self) -> int:
-        return self.transition.shape[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.transition.shape[1]
-
-
-@dataclass(frozen=True)
 class BscState:
     """One component BSC with crossover probability in [0, 1/2]."""
 

@@ -30,9 +30,8 @@ from .channels import (
 from .codemap import BroadcastCodeSpec, bc_to_expected, expected_to_bc, subset_weighted_rate
 from .config import ConfigError, RunConfig, build_channel, load_config
 from .layering import (
+    SolverError,
     expected_capacity_continuous,
-    find_cutoffs,
-    ge_expected_capacity,
     optimize_discrete,
     parametric_expected_rate,
     rate_profile,
@@ -88,7 +87,7 @@ def _expected_capacity_value(channel) -> float:
     if isinstance(channel, GilbertElliott):
         if channel.is_ergodic:
             return shannon_capacity(channel)
-        return ge_expected_capacity(channel.p_good, channel.p_bad, channel.pi_good)[0]
+        channel = channel.as_composite()
     if isinstance(channel, DiscreteComposite):
         if channel.family == "bec":
             # Uncoded transmission is optimal for erasure composites.
@@ -333,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master RNG seed")
         p.add_argument("--trials", type=int, help="Monte Carlo trials")
         p.add_argument("--grid", type=int, help="grid points for q/alpha tables")
-        p.add_argument("--tol", type=float, help="solver tolerance override")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--plot-script", dest="plot_script",
                        help="also write a gnuplot script for the emitted CSV")
@@ -344,7 +342,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         raw = dict(load_config(args.config)) if args.config else {}
-        for key in ("seed", "trials", "grid", "tol", "out"):
+        for key in ("seed", "trials", "grid", "out"):
             value = getattr(args, key)
             if value is not None:
                 raw[key] = str(value)
@@ -362,7 +360,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--plot-script needs --out so the script can reference the CSV")
             Path(args.plot_script).write_text(_plot_script(cfg.out, header))
         return 0
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,7 +144,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 10000
     grid: int = 101
-    tol: float = 1e-6
     out: str | None = None
 
     # Per-subcommand keys beyond the channel block.
@@ -155,7 +154,7 @@ class RunConfig:
         "simulate": {"ns", "rate", "q", "epsilon"},
         "mapdemo": {"n", "num_states"},
     }
-    COMMON_KEYS = {"seed", "trials", "grid", "tol", "out"}
+    COMMON_KEYS = {"seed", "trials", "grid", "out"}
 
     def __post_init__(self):
         if self.subcommand not in self.EXTRA_KEYS:
@@ -179,8 +178,6 @@ class RunConfig:
             self.trials = int(self.raw["trials"])
         if "grid" in self.raw:
             self.grid = int(self.raw["grid"])
-        if "tol" in self.raw:
-            self.tol = float(self.raw["tol"])
         if "out" in self.raw:
             self.out = self.raw["out"]
 

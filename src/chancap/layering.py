@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .channels import (
     EPS,
@@ -30,21 +30,18 @@ from .channels import (
 # to x = 1/2.
 _LHS_LIMIT_BAND = 1e-6
 
+# Slack of the discrete optimizer's first-order certificate, in nats.
+_KKT_TOL = 1e-9
 
-def _h(x: float) -> float:
-    """Scalar binary entropy for hot loops (no array dispatch)."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / math.log(2.0)
-
-
-def _h_prime(x: float) -> float:
-    x = min(max(x, EPS), 1.0 - EPS)
-    return math.log2((1.0 - x) / x)
+# The discrete optimizer treats r below the smallest normal float as 0.
+# With p = 0 the gradient at r = 0 is infinite, so a two-state root can
+# underflow; the solver stops here instead, which changes the rate by
+# less than 1e-303.
+_R_MIN = float(np.finfo(float).tiny)
 
 
-def _star(a: float, b: float) -> float:
-    return a + b - 2.0 * a * b
+class SolverError(RuntimeError):
+    """A solver's answer failed its own certificate."""
 
 
 @dataclass(frozen=True)
@@ -106,19 +103,17 @@ class CutoffPair:
 def ge_expected_capacity(p_good: float, p_bad: float, pi_good: float) -> tuple[float, float]:
     """Expected capacity of the two-state (frozen) BSC composite.
 
-    Maximizes J(r) = 1 - h(r * p_bad) + pi_good [h(r * p_good) - h(p_good)]
-    over the single auxiliary crossover r.  Setting J'(r) = 0 gives a
-    closed form: with A = (1-2 p_bad)/(1-2 p_good) and
-    f(a, b) = log(1/a - 1)/log(1/b - 1),
+    The N = 2 call of optimize_discrete, which maximizes
+    J(r) = 1 - h(r * p_bad) + pi_good [h(r * p_good) - h(p_good)] over
+    the single auxiliary crossover r.  With L(x) = ln(1/x - 1) and
+    A = (1-2 p_bad)/(1-2 p_good), J is unimodal and
 
-        r* = 0    if pi_good <= A f(p_bad, p_good)   (J'(0) <= 0)
-        r* = 1/2  if pi_good >= A^2                  (J'(1/2) >= 0)
-        else r* solves f(r * p_good, r * p_bad) = A / pi_good,
-        whose left side decreases from f(p_good, p_bad) to 1/A, so the
-        interior root is unique and bisection applies.
+        r* = 0    if pi_good L(p_good) <= A L(p_bad)   (J'(0) <= 0)
+        r* = 1/2  if pi_good >= A^2                    (J'(1/2) >= 0)
+        else the unique interior stationary point.
 
-    The result is cross-checked against a direct bounded golden-section
-    maximization of J; disagreement beyond 1e-6 raises.
+    This is the rule every pooled run of layers reduces to by
+    telescoping; with a single layer nothing is pooled.
 
     Returns (expected capacity, r*).
     """
@@ -126,40 +121,8 @@ def ge_expected_capacity(p_good: float, p_bad: float, pi_good: float) -> tuple[f
         raise ValueError("ge_expected_capacity: need 0 <= p_good < p_bad <= 1/2")
     if not 0.0 <= pi_good <= 1.0:
         raise ValueError("ge_expected_capacity: pi_good must lie in [0, 1]")
-
-    def objective(r: float) -> float:
-        return (
-            1.0
-            - binary_entropy(star(r, p_bad))
-            + pi_good * (binary_entropy(star(r, p_good)) - binary_entropy(p_good))
-        )
-
-    if pi_good == 0.0:
-        return bsc_capacity(p_bad), 0.0
-    if pi_good == 1.0:
-        return bsc_capacity(p_good), 0.5
-
-    def log_ratio(a: float, b: float) -> float:
-        return math.log(1.0 / a - 1.0) / math.log(1.0 / b - 1.0)
-
-    big_a = (1.0 - 2.0 * p_bad) / (1.0 - 2.0 * p_good)
-    if p_good > 0.0 and pi_good <= big_a * log_ratio(p_bad, p_good):
-        r_star = 0.0
-    elif pi_good >= big_a * big_a:
-        r_star = 0.5
-    else:
-        def stationarity(r: float) -> float:
-            return log_ratio(star(r, p_good), star(r, p_bad)) - big_a / pi_good
-
-        r_star = brentq(stationarity, 1e-12, 0.5 - 1e-12, xtol=1e-12)
-
-    ce = objective(r_star)
-    check = minimize_scalar(
-        lambda r: -objective(r), bounds=(0.0, 0.5), method="bounded", options={"xatol": 1e-9}
-    )
-    if ce < -check.fun - 1e-6:
-        raise AssertionError("ge_expected_capacity: closed form disagrees with direct maximization")
-    return ce, r_star
+    chain, ce = optimize_discrete([pi_good, 1.0 - pi_good], [p_good, p_bad])
+    return ce, float(chain[1])
 
 
 def bergmans_rates(p_states, r) -> np.ndarray:
@@ -196,14 +159,70 @@ def discrete_expected_rate(weights, p_states, r) -> float:
     return float(np.dot(np.cumsum(w), rates))
 
 
+def _log_odds(r, p):
+    """ln((1 - x)/x) at x = r * p, written as log1p((1-2r)(1-2p)/x) so
+    that it keeps full relative precision as x approaches 1/2."""
+    return np.log1p((1.0 - 2.0 * r) * (1.0 - 2.0 * p) / (r + p - 2.0 * r * p))
+
+
+def _two_state_argmax(a: float, p: float, b: float, q: float) -> float:
+    """Maximizer over r in [0, 1/2] of a h(r * p) - b h(r * q), 0 <= a <= b, p <= q.
+
+    The derivative is a positive multiple of
+    s(r) = a (1-2p) L(r * p) - b (1-2q) L(r * q), L(x) = ln(1/x - 1),
+    whose sign is that of f(r) - c with f(r) = L(r * p)/L(r * q)
+    decreasing from L(p)/L(q) to (1-2p)/(1-2q) and
+    c = b (1-2q)/(a (1-2p)).  So the objective is unimodal and
+
+        r* = 0    if s(0) <= 0   (s is taken at _R_MIN in place of 0)
+        r* = 1/2  if a (1-2p)^2 >= b (1-2q)^2   (the limit of f at 1/2)
+        else the unique sign change of s, found by bisection to the
+             last float.
+    """
+    def s(r: float) -> float:
+        return a * (1.0 - 2.0 * p) * _log_odds(r, p) - b * (1.0 - 2.0 * q) * _log_odds(r, q)
+
+    if s(_R_MIN) <= 0.0:
+        return 0.0
+    if a * (1.0 - 2.0 * p) ** 2 >= b * (1.0 - 2.0 * q) ** 2:
+        return 0.5
+    lo, hi = _R_MIN, 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if s(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
     """Maximize the discrete layered expected rate over the r chain.
 
-    Projected coordinate ascent on the interior r_1..r_{N-1}: each pass
-    maximizes one coordinate exactly on [r_{k-1}, r_{k+1}] (the local
-    objective touches only layers k and k+1).  Three starts (linear
-    ramp, near-0, near-1/2); the best finisher must satisfy first-order
-    stationarity with projected-gradient residual < 1e-8.
+    With W_k the cdf of the weights, the expected rate is
+    1 - W_1 h(p_1) + sum_k g_k(r_k) over the interior r_1..r_{N-1},
+    g_k(r) = W_k h(r * p_k) - W_{k+1} h(r * p_{k+1}); only the ordering
+    r_1 <= ... <= r_{N-1} couples the layers.  The sum of g_k over a
+    run of adjacent layers a..b telescopes to the two-state objective
+    W_a h(r * p_a) - W_{b+1} h(r * p_{b+1}), which is unimodal; its
+    maximizer is 0, 1/2 or the unique stationary point
+    (_two_state_argmax).
+
+    Pooling rule (pool-adjacent-violators): solve each layer as its own
+    two-state problem; while a run's maximizer lies below the one to
+    its left, merge the two runs and re-solve the merged run as one
+    two-state problem.  Since the sum over every run of adjacent layers
+    is unimodal, the best nondecreasing chain on each pooled run is
+    constant, so the pooled chain is the exact optimum.
+
+    The answer is certified by the first-order conditions: within each
+    run (value v) the prefix sums of the gradient are >= 0 unless
+    v = 0, the suffix sums are <= 0 unless v = 1/2, so the full sum
+    vanishes in the interior.  A violation beyond _KKT_TOL raises
+    SolverError.
+
+    Returns (chain r_0..r_N with r_0 = 0 and r_N = 1/2, expected rate).
     """
     p = np.asarray(p_states, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -211,76 +230,36 @@ def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
         raise ValueError("optimize_discrete: weights and states must match")
     if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("optimize_discrete: weights must be a pmf")
-    n = p.size
-    if n == 1:
-        r = np.array([0.0, 0.5])
-        return r, discrete_expected_rate(w, p, r)
-
+    if p.ndim != 1 or p.size < 1 or np.any(p < 0.0) or np.any(p > 0.5) or np.any(np.diff(p) < 0.0):
+        raise ValueError("optimize_discrete: states must be sorted in [0, 1/2]")
     cum_w = np.cumsum(w)
+    cw, ps = cum_w.tolist(), p.tolist()
 
-    def local_term(k: int, rk: float) -> float:
-        # Only layers k and k+1 (1-based) involve r_k.
-        val = cum_w[k - 1] * _h(_star(rk, p[k - 1]))
-        val -= cum_w[k] * _h(_star(rk, p[k]))
-        return val
+    # Runs as (first layer, value); layer k couples states k and k+1.
+    runs: list[tuple[int, float]] = []
+    for k in range(p.size - 1):
+        first, value = k, _two_state_argmax(cw[k], ps[k], cw[k + 1], ps[k + 1])
+        while runs and runs[-1][1] > value:
+            first = runs.pop()[0]
+            value = _two_state_argmax(cw[first], ps[first], cw[k + 1], ps[k + 1])
+        runs.append((first, value))
 
-    def residual(chain: np.ndarray) -> float:
-        worst = 0.0
-        for k in range(1, n):
-            grad = (1.0 - 2.0 * p[k - 1]) * cum_w[k - 1] * _h_prime(
-                _star(chain[k], p[k - 1])
-            ) - (1.0 - 2.0 * p[k]) * cum_w[k] * _h_prime(_star(chain[k], p[k]))
-            at_lo = chain[k] - chain[k - 1] < 1e-10
-            at_hi = chain[k + 1] - chain[k] < 1e-10
-            if at_lo and at_hi:
-                continue
-            if at_lo:
-                viol = max(0.0, grad)
-            elif at_hi:
-                viol = max(0.0, -grad)
-            else:
-                viol = abs(grad)
-            worst = max(worst, viol)
-        return worst
+    starts = np.array([first for first, _ in runs], dtype=int)
+    lengths = np.diff(np.append(starts, p.size - 1))
+    v = np.repeat([val for _, val in runs], lengths)
 
-    ramp = np.linspace(0.0, 0.5, n + 1)
-    near0 = np.concatenate([[0.0], np.linspace(1e-6, 2e-6, n - 1), [0.5]])
-    near_half = np.concatenate([[0.0], np.linspace(0.5 - 2e-6, 0.5 - 1e-6, n - 1), [0.5]])
-
-    best_chain, best_val = None, -np.inf
-    for start in (ramp, near0, near_half):
-        chain = start.copy()
-        prev = -np.inf
-        for _ in range(500):
-            for k in range(1, n):
-                lo, hi = chain[k - 1], chain[k + 1]
-                if hi - lo < 1e-14:
-                    chain[k] = lo
-                    continue
-                res = minimize_scalar(
-                    lambda rk: -local_term(k, rk),
-                    bounds=(lo, hi),
-                    method="bounded",
-                    options={"xatol": 1e-13},
-                )
-                cand = float(res.x)
-                # Bounded search never lands exactly on the endpoints;
-                # snap when an endpoint is at least as good.
-                for edge in (lo, hi):
-                    if local_term(k, edge) >= local_term(k, cand):
-                        cand = edge
-                chain[k] = cand
-            val = discrete_expected_rate(w, p, chain)
-            if val - prev < 1e-14:
-                break
-            prev = val
-        val = discrete_expected_rate(w, p, chain)
-        if val > best_val:
-            best_chain, best_val = chain, val
-
-    if residual(best_chain) >= 1e-8:
-        raise AssertionError("optimize_discrete: coordinate ascent failed stationarity")
-    return best_chain, best_val
+    # By telescoping, the gradient summed over layers i..j of a run is
+    # T_i - T_{j+1} with T_s = W_s (1-2p_s) L(v p_s): each condition
+    # compares a layer's own terms with the end terms of its run.
+    at = np.maximum(v, _R_MIN)
+    lower = cum_w[:-1] * (1.0 - 2.0 * p[:-1]) * _log_odds(at, p[:-1])
+    upper = cum_w[1:] * (1.0 - 2.0 * p[1:]) * _log_odds(at, p[1:])
+    prefix_ok = (v <= 0.0) | (lower[np.repeat(starts, lengths)] >= upper - _KKT_TOL)
+    suffix_ok = (v >= 0.5) | (lower <= upper[np.repeat(starts + lengths - 1, lengths)] + _KKT_TOL)
+    if not np.all(prefix_ok & suffix_ok):
+        raise SolverError("optimize_discrete: pooled chain fails the first-order conditions")
+    chain = np.concatenate([[0.0], v, [0.5]])
+    return chain, discrete_expected_rate(w, p, chain)
 
 
 def discretize_density(density, n_states: int) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +328,8 @@ def solve_euler_r(p: float, density) -> float:
     hi = 2.0 - rhs                           # r = 1/2 (limit value)
     if lo <= 0.0 or hi >= 0.0:
         return float("nan")
-    return brentq(lambda r: euler_lhs(_star(p, r)) - rhs, 0.0, 0.5, xtol=1e-12)
+    # p * r written out: star() validates its arguments on every call.
+    return brentq(lambda r: euler_lhs(p + r - 2.0 * p * r) - rhs, 0.0, 0.5, xtol=1e-12)
 
 
 def find_cutoffs(density, scan_points: int = 4096) -> CutoffPair:
@@ -442,7 +422,7 @@ def expected_capacity_continuous(density, num: int = 4097) -> float:
     prof = rate_profile(layer)
     alt = float(density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g))
     if abs(value - alt) > 1e-6:
-        raise AssertionError("expected_capacity_continuous: integral forms disagree")
+        raise SolverError("expected_capacity_continuous: integral forms disagree")
     return value
 
 

@@ -34,6 +34,7 @@ from .channels import (
     GilbertElliott,
     sample_state_indices,
 )
+from .spectrum import _shard_sizes
 
 # Codebook size guard: floor(2^{nR}) entries of n bits.
 _MAX_NR = 20.0
@@ -108,11 +109,6 @@ def _draw_crossovers(composite, rng, size: int) -> np.ndarray:
     if isinstance(composite, ContinuousBscComposite):
         return composite.sample(rng, size)
     raise ValueError("simulate: unsupported composite type")
-
-
-def _shard_sizes(trials: int, shards: int) -> list[int]:
-    base, extra = divmod(trials, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
 def simulate_outage_code_sweep(

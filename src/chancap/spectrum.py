@@ -24,14 +24,6 @@ from .channels import (
 
 
 @dataclass(frozen=True)
-class SpectrumSample:
-    """One realization of the normalized information density."""
-
-    value: float
-    state_id: int
-
-
-@dataclass(frozen=True)
 class Quantile:
     """A quantile of an empirical cdf.
 

@@ -22,7 +22,6 @@ from chancap import (
     mean_state_capacity,
     outage_curve,
     shannon_capacity,
-    subchannel_capacity,
 )
 
 
@@ -88,12 +87,6 @@ def test_capacity_vs_outage_ergodic_ge_is_flat():
     c = shannon_capacity(ergodic)
     for q in (0.0, 0.3, 0.9):
         assert capacity_vs_outage(ergodic, q) == c
-
-
-def test_subchannel_capacity_identity():
-    for q in (0.0, 0.1, 0.25, 0.6):
-        assert subchannel_capacity(THREE, q) == capacity_vs_outage(THREE, q)
-        assert subchannel_capacity(UNIFORM, q) == capacity_vs_outage(UNIFORM, q)
 
 
 def test_outage_curve():

@@ -8,7 +8,6 @@ from chancap import (
     BscState,
     ContinuousBscComposite,
     DiscreteComposite,
-    Dmc,
     GilbertElliott,
     PointMassDensity,
     bec_capacity,
@@ -78,14 +77,6 @@ def test_capacity_helpers():
     assert bsc_capacity(0.5) == 0.0
     assert bsc_capacity(0.11) == pytest.approx(1.0 - 0.499915958164528, abs=1e-14)
     assert bec_capacity(0.3) == pytest.approx(0.7, abs=1e-15)
-
-
-def test_dmc_validation():
-    Dmc(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    with pytest.raises(ValueError):
-        Dmc(np.array([[0.9, 0.2], [0.2, 0.8]]))  # row sums off
-    with pytest.raises(ValueError):
-        Dmc(np.array([[1.1, -0.1], [0.2, 0.8]]))  # negative entry
 
 
 def test_state_types():

@@ -204,3 +204,29 @@ def test_error_exit_codes(tmp_path, capsys):
     rng.write_text("q_min=0.9\nq_max=0.5\n")
     assert main(["capacity", "--config", str(rng)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_capacity_collapsed_layers(tmp_path, capsys):
+    # The optimum collapses layers onto r = 1/2; coordinate ascent used
+    # to crash here with a traceback.
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(
+        "family=bsc\n"
+        "states=0.062230166257739916,0.1476171278313479,0.4234991853168648\n"
+        "pmf=0.6658933552120739,0.23839636698807629,0.09571027779984978\n"
+    )
+    assert main(["capacity", "--config", str(cfg), "--grid", "11"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    assert np.all(data[:, 2] <= data[:, 3]) and np.all(data[:, 3] <= data[:, 4])
+
+
+def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # A layer solve that ignores its problem fails the optimizer's own
+    # first-order certificate, which the CLI reports as an error line.
+    monkeypatch.setattr("chancap.layering._two_state_argmax", lambda a, p, b, q: 0.25)
+    cfg = tmp_path / "ge.cfg"
+    cfg.write_text("family=ge\np_good=0.05\np_bad=0.3\npi_good=0.14\n")
+    assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: optimize_discrete:")

@@ -90,12 +90,12 @@ def test_build_channel_errors_wrap():
 
 def test_run_config_defaults_and_overrides():
     cfg = RunConfig(subcommand="capacity", raw={})
-    assert (cfg.seed, cfg.trials, cfg.grid, cfg.tol, cfg.out) == (0, 10000, 101, 1e-6, None)
+    assert (cfg.seed, cfg.trials, cfg.grid, cfg.out) == (0, 10000, 101, None)
     cfg = RunConfig(
         subcommand="capacity",
-        raw={"seed": "7", "trials": "99", "grid": "11", "tol": "1e-3", "out": "x.csv"},
+        raw={"seed": "7", "trials": "99", "grid": "11", "out": "x.csv"},
     )
-    assert (cfg.seed, cfg.trials, cfg.grid, cfg.tol, cfg.out) == (7, 99, 11, 1e-3, "x.csv")
+    assert (cfg.seed, cfg.trials, cfg.grid, cfg.out) == (7, 99, 11, "x.csv")
 
 
 def test_run_config_rejects_unknown_keys():
@@ -105,6 +105,9 @@ def test_run_config_rejects_unknown_keys():
         RunConfig(subcommand="spectrum", raw={"q_min": "0"})
     with pytest.raises(ConfigError):
         RunConfig(subcommand="nonsense", raw={})
+    # no solver reads a tolerance, so none is accepted
+    with pytest.raises(ConfigError, match="tol"):
+        RunConfig(subcommand="capacity", raw={"tol": "1e-3"})
 
 
 def test_run_config_mapdemo_rate_keys():

@@ -1,17 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from chancap import (
+    BscState,
     ContinuousBscComposite,
     CutoffPair,
+    DiscreteComposite,
     LayerProfile,
     PointMassDensity,
     RateProfile,
+    SolverError,
     bec_bc_expected_rate,
     bec_bc_region,
     bergmans_rates,
+    best_outage_rate,
     binary_entropy,
     bsc_capacity,
     capacity_vs_outage,
@@ -23,6 +30,7 @@ from chancap import (
     expected_capacity_continuous,
     find_cutoffs,
     ge_expected_capacity,
+    mean_state_capacity,
     optimize_discrete,
     parametric_expected_rate,
     parametric_profile,
@@ -30,6 +38,7 @@ from chancap import (
     solve_euler_r,
     solve_layering,
 )
+from chancap import layering
 
 UNIFORM = ContinuousBscComposite.uniform()
 
@@ -285,6 +294,135 @@ def test_optimize_discrete_matches_two_state_closed_form():
         optimize_discrete([0.5, 0.6], [0.05, 0.3])
     with pytest.raises(ValueError):
         optimize_discrete([0.5, 0.5], [0.05])
+    with pytest.raises(ValueError, match="optimize_discrete: states must be sorted"):
+        optimize_discrete([0.5, 0.5], [0.3, 0.05])
+
+
+def _ascent_oracle(weights, p_states):
+    """Projected coordinate ascent on r_1..r_{N-1} (three starts, up to
+    500 passes of exact bounded 1-D maximization).
+
+    Returns the best expected rate found, or None when that chain does
+    not meet first-order stationarity within 1e-8 (the ascent stalls on
+    collapsed layers), so only certified values serve as a reference.
+    """
+    p = np.asarray(p_states, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    n = p.size
+    if n == 1:
+        return discrete_expected_rate(w, p, [0.0, 0.5])
+    cum_w = np.cumsum(w)
+
+    def h(x):
+        if x <= 0.0 or x >= 1.0:
+            return 0.0
+        return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / math.log(2.0)
+
+    def h_prime(x):
+        x = min(max(x, 1e-12), 1.0 - 1e-12)
+        return math.log2((1.0 - x) / x)
+
+    def cascade(a, b):
+        return a + b - 2.0 * a * b
+
+    def local_term(k, rk):
+        return cum_w[k - 1] * h(cascade(rk, p[k - 1])) - cum_w[k] * h(cascade(rk, p[k]))
+
+    def residual(chain):
+        worst = 0.0
+        for k in range(1, n):
+            grad = (1.0 - 2.0 * p[k - 1]) * cum_w[k - 1] * h_prime(cascade(chain[k], p[k - 1])) \
+                - (1.0 - 2.0 * p[k]) * cum_w[k] * h_prime(cascade(chain[k], p[k]))
+            at_lo = chain[k] - chain[k - 1] < 1e-10
+            at_hi = chain[k + 1] - chain[k] < 1e-10
+            if at_lo and at_hi:
+                continue
+            viol = max(0.0, grad) if at_lo else max(0.0, -grad) if at_hi else abs(grad)
+            worst = max(worst, viol)
+        return worst
+
+    starts = (
+        np.linspace(0.0, 0.5, n + 1),
+        np.concatenate([[0.0], np.linspace(1e-6, 2e-6, n - 1), [0.5]]),
+        np.concatenate([[0.0], np.linspace(0.5 - 2e-6, 0.5 - 1e-6, n - 1), [0.5]]),
+    )
+    best_chain, best_val = None, -np.inf
+    for start in starts:
+        chain = start.copy()
+        prev = -np.inf
+        for _ in range(500):
+            for k in range(1, n):
+                lo, hi = chain[k - 1], chain[k + 1]
+                if hi - lo < 1e-14:
+                    chain[k] = lo
+                    continue
+                res = minimize_scalar(lambda rk: -local_term(k, rk), bounds=(lo, hi),
+                                      method="bounded", options={"xatol": 1e-13})
+                cand = float(res.x)
+                for edge in (lo, hi):
+                    if local_term(k, edge) >= local_term(k, cand):
+                        cand = edge
+                chain[k] = cand
+            val = discrete_expected_rate(w, p, chain)
+            if val - prev < 1e-14:
+                break
+            prev = val
+        if val > best_val:
+            best_chain, best_val = chain, val
+    return best_val if residual(best_chain) < 1e-8 else None
+
+
+def _check_layered_optimum(w, p, oracle=True):
+    chain, value = optimize_discrete(w, p)
+    assert chain[0] == 0.0 and chain[-1] == 0.5 and np.all(np.diff(chain) >= 0.0)
+    composite = DiscreteComposite(tuple(BscState(x) for x in p), w)
+    assert best_outage_rate(composite)[1] - 1e-12 <= value <= mean_state_capacity(composite) + 1e-12
+    if oracle:
+        reference = _ascent_oracle(w, p)
+        if reference is not None:
+            assert value >= reference - 1e-12
+
+
+@st.composite
+def _bsc_composites(draw):
+    """1-9 sorted crossovers, repeats, p = 0, p = 1/2, zero masses and
+    point masses."""
+    n = draw(st.integers(1, 9))
+    crossover = st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5))
+    pool = draw(st.lists(crossover, min_size=1, max_size=n))
+    p = np.sort(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=n, max_size=n)))
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return w / w.sum(), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bsc_composites())
+def test_optimize_discrete_property(composite):
+    _check_layered_optimum(*composite)
+
+
+def test_optimize_discrete_random_mixtures():
+    # 300 mixtures with 2-9 uniform crossovers and Dirichlet weights;
+    # coordinate ascent raised on 15 of them and fell below the best
+    # outage rate on others.
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        p = np.sort(rng.uniform(0.0, 0.5, n))
+        _check_layered_optimum(rng.dirichlet(np.ones(n)), p, oracle=False)
+
+
+def test_solver_certificates_raise_solver_error(monkeypatch):
+    monkeypatch.setattr(layering, "_two_state_argmax", lambda a, p, b, q: 0.25)
+    with pytest.raises(SolverError, match="first-order"):
+        optimize_discrete([0.14, 0.86], [0.05, 0.3])
+    monkeypatch.undo()
+    real = layering.rate_profile
+    monkeypatch.setattr(layering, "rate_profile", lambda lay: RateProfile(lay.grid, 2.0 * real(lay).rates))
+    with pytest.raises(SolverError, match="integral forms disagree"):
+        expected_capacity_continuous(UNIFORM, num=257)
 
 
 def test_discretize_density():
