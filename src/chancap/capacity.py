@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channels import (
     ContinuousBscComposite,
@@ -55,32 +54,10 @@ class CapacityBounds:
             raise ValueError("CapacityBounds: lower bound exceeds upper bound")
 
 
-def _state_capacity(composite: DiscreteComposite, param: float) -> float:
+def _state_capacity(composite: DiscreteComposite, param):
     if composite.family == "bsc":
         return bsc_capacity(param)
     return 1.0 - param
-
-
-def _worst_kept_param(composite: DiscreteComposite, q: float) -> float:
-    """Worst surviving state parameter after greedily dropping mass <= q.
-
-    States are removed worst-first; an atom joins the outage set only
-    if its entire mass still fits under q (conservative convention for
-    ties at atoms).
-    """
-    params = composite.params
-    weights = composite.pmf
-    order = np.argsort(-params)  # worst (most noisy) first
-    removed = 0.0
-    for i in order:
-        if weights[i] == 0.0:
-            continue
-        if removed + weights[i] <= q + _ATOM_TOL:
-            removed += weights[i]
-        else:
-            return float(params[i])
-    # q < 1 and the pmf sums to 1, so something always survives.
-    raise AssertionError("unreachable: total removed mass exceeded q")
 
 
 def shannon_capacity(composite) -> float:
@@ -105,43 +82,39 @@ def shannon_capacity(composite) -> float:
     raise ValueError("shannon_capacity: unsupported composite type")
 
 
-def capacity_vs_outage(composite, q: float) -> float:
-    """C_q = sup {alpha : F(alpha) <= q}; analytic path per family.
+def _c_q(composite, q: np.ndarray) -> np.ndarray:
+    """C_q = sup {alpha : F(alpha) <= q} for every q of an array in [0, 1).
 
-    Continuous BSC family: C_q = 1 - h(p_q) with
-    p_q = inf {p : F(p) >= 1 - q}.
+    Discrete composites: states leave worst-first, and an atom joins
+    the outage set only if its entire mass still fits under q
+    (conservative convention for ties at atoms), so the worst kept
+    state is the first one whose cumulative mass exceeds q.  A zero-mass
+    state never is; when every state fits (q within rounding of 1) the
+    best supported state is kept.  Continuous BSC family:
+    C_q = 1 - h(p_q) with p_q = inf {p : F(p) >= 1 - q}.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError("capacity_vs_outage: q must lie in [0, 1)")
     if isinstance(composite, GilbertElliott):
         if composite.is_ergodic:
-            return shannon_capacity(composite)
+            return np.full(q.shape, shannon_capacity(composite))
         composite = composite.as_composite()
     if isinstance(composite, DiscreteComposite):
-        return _state_capacity(composite, _worst_kept_param(composite, q))
+        params = composite.params
+        order = np.argsort(-params)  # worst (most noisy) first
+        params, weights = params[order], composite.pmf[order]
+        removed = np.cumsum(weights)
+        idx = np.searchsorted(removed, q + _ATOM_TOL, side="right")
+        idx = np.minimum(idx, np.nonzero(weights)[0][-1])
+        return _state_capacity(composite, params[idx])
     if isinstance(composite, ContinuousBscComposite):
-        if composite.analytic_preset == "uniform":
-            p_q = (1.0 - q) / 2.0
-        else:
-            p_q = _continuous_pq(composite, q)
-        return bsc_capacity(p_q)
+        return bsc_capacity(composite.inverse_cdf(1.0 - q))
     raise ValueError("capacity_vs_outage: unsupported composite type")
 
 
-def _continuous_pq(composite: ContinuousBscComposite, q: float) -> float:
-    """inf {p : F(p) >= 1 - q} by inverting the gridded trapezoid cdf."""
-    target = 1.0 - q
-    cum = composite._cum
-    grid = composite.grid
-    idx = int(np.searchsorted(cum, target, side="left"))
-    if idx == 0:
-        return float(grid[0])
-    idx = min(idx, cum.size - 1)
-    lo, hi = cum[idx - 1], cum[idx]
-    if hi <= lo:
-        return float(grid[idx])
-    frac = (target - lo) / (hi - lo)
-    return float(grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
+def capacity_vs_outage(composite, q: float) -> float:
+    """C_q = sup {alpha : F(alpha) <= q}; see outage_curve for a q grid."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError("capacity_vs_outage: q must lie in [0, 1)")
+    return float(_c_q(composite, np.array([q], dtype=float))[0])
 
 
 def outage_curve(composite, q_grid) -> OutageCurve:
@@ -150,7 +123,7 @@ def outage_curve(composite, q_grid) -> OutageCurve:
         raise ValueError("outage_curve: q_grid must be a nonempty 1-D array")
     if np.any(q < 0.0) or np.any(q >= 1.0):
         raise ValueError("outage_curve: grid values must lie in [0, 1)")
-    c = np.array([capacity_vs_outage(composite, float(v)) for v in q])
+    c = _c_q(composite, q)
     return OutageCurve(q=q, c_q=c, outage_capacity=(1.0 - q) * c)
 
 
@@ -168,20 +141,22 @@ def best_outage_rate(composite, grid_points: int = 1024) -> tuple[float, float]:
             return 0.0, shannon_capacity(composite)
         composite = composite.as_composite()
     if isinstance(composite, DiscreteComposite):
-        params = composite.params
-        weights = composite.pmf
-        order = np.argsort(-params)
-        masses = np.concatenate([[0.0], np.cumsum(weights[order])])
-        candidates = [float(m) for m in masses if m < 1.0 - _ATOM_TOL]
+        order = np.argsort(-composite.params)
+        masses = np.concatenate([[0.0], np.cumsum(composite.pmf[order])])
+        candidates = masses[masses < 1.0 - _ATOM_TOL]
+        values = (1.0 - candidates) * _c_q(composite, candidates)
         best_q, best_v = 0.0, -np.inf
-        for qc in candidates:
-            v = (1.0 - qc) * capacity_vs_outage(composite, qc)
+        for qc, v in zip(candidates.tolist(), values.tolist()):
             if v > best_v + 1e-15:
                 best_q, best_v = qc, v
         return best_q, best_v
     if isinstance(composite, ContinuousBscComposite):
+        # Imported here: scipy.optimize adds about 24 MB of resident
+        # memory, and only the continuous solvers use it.
+        from scipy.optimize import minimize_scalar
+
         qs = np.linspace(0.0, 1.0, grid_points, endpoint=False)
-        vals = (1.0 - qs) * np.array([capacity_vs_outage(composite, float(v)) for v in qs])
+        vals = (1.0 - qs) * _c_q(composite, qs)
         k = int(np.argmax(vals))
         lo = qs[max(k - 1, 0)]
         hi = qs[min(k + 1, qs.size - 1)]

@@ -147,8 +147,8 @@ class DiscreteComposite:
         w = np.asarray(self.pmf, dtype=float)
         if w.shape != (len(states),):
             raise ValueError("DiscreteComposite: pmf length must match state count")
-        if np.any(w < 0.0):
-            raise ValueError("DiscreteComposite: pmf entries must be nonnegative")
+        if not np.all(w >= 0.0):
+            raise ValueError("DiscreteComposite: pmf entries must be finite and nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("DiscreteComposite: pmf must sum to 1 within 1e-12")
         object.__setattr__(self, "states", states)
@@ -190,10 +190,10 @@ class ContinuousBscComposite:
         f = np.asarray(self.density, dtype=float)
         if g.ndim != 1 or g.size < 2 or f.shape != g.shape:
             raise ValueError("ContinuousBscComposite: grid and density must be matching 1-D arrays")
-        if g[0] < 0.0 or g[-1] > 0.5 or np.any(np.diff(g) <= 0.0):
+        if not (g[0] >= 0.0 and g[-1] <= 0.5 and np.all(np.diff(g) > 0.0)):
             raise ValueError("ContinuousBscComposite: grid must increase strictly within [0, 1/2]")
-        if np.any(f < 0.0):
-            raise ValueError("ContinuousBscComposite: density must be nonnegative")
+        if not np.all((f >= 0.0) & (f < np.inf)):
+            raise ValueError("ContinuousBscComposite: density must be finite and nonnegative")
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(g))])
         if abs(cum[-1] - 1.0) > 1e-9:
             raise ValueError("ContinuousBscComposite: density must integrate to 1 within 1e-9")

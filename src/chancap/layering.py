@@ -12,12 +12,11 @@ better than p_l decode everything, states worse than p_u get nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .capacity import best_outage_rate
 from .channels import (
     EPS,
     PointMassDensity,
@@ -29,6 +28,9 @@ from .channels import (
 # Switch to the removable-singularity limit of the Euler LHS this close
 # to x = 1/2.
 _LHS_LIMIT_BAND = 1e-6
+
+# Halvings of [0, 1/2] in the Euler solve: 0.5 / 2**50 < 5e-16.
+_EULER_BISECTIONS = 50
 
 # Slack of the discrete optimizer's first-order certificate, in nats.
 _KKT_TOL = 1e-9
@@ -288,24 +290,30 @@ def discretize_density(density, n_states: int) -> tuple[np.ndarray, np.ndarray]:
     return w / s, p
 
 
-def euler_lhs(x: float) -> float:
+def euler_lhs(x):
     """LHS of the Euler condition: [1/x - 1/(1-x)] / ln((1-x)/x).
 
     Natural logs: the Euler-Lagrange derivation cancels the log base
     from this ratio, and the removable singularity at x = 1/2 has the
     limit 2 (matching the p_u condition RHS = 2).  Decreasing in x.
+    Accepts scalars or arrays.
     """
-    if not 0.0 < x <= 0.5:
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr > 0.0) & (arr <= 0.5)):
         raise ValueError("euler_lhs: x must lie in (0, 1/2]")
-    if 0.5 - x < _LHS_LIMIT_BAND:
-        return 2.0
-    return (1.0 / x - 1.0 / (1.0 - x)) / math.log((1.0 - x) / x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (1.0 / arr - 1.0 / (1.0 - arr)) / np.log((1.0 - arr) / arr)
+    out = np.where(0.5 - arr < _LHS_LIMIT_BAND, 2.0, ratio)
+    return float(out) if arr.ndim == 0 else out
 
 
-def euler_rhs(p: float, density) -> float:
-    """RHS of the Euler condition: [(1-2p) f(p) - 2 F(p)] / F(p)."""
+def euler_rhs(p, density):
+    """RHS of the Euler condition: [(1-2p) f(p) - 2 F(p)] / F(p).
+
+    Accepts scalars or arrays.
+    """
     big_f = density.cdf(p)
-    if big_f <= 0.0:
+    if np.any(big_f <= 0.0):
         raise ValueError("euler_rhs: F(p) must be positive")
     return ((1.0 - 2.0 * p) * density.pdf(p) - 2.0 * big_f) / big_f
 
@@ -315,33 +323,47 @@ def euler_residual(p: float, r: float, density) -> float:
     return euler_lhs(max(star(p, r), EPS)) - euler_rhs(p, density)
 
 
-def solve_euler_r(p: float, density) -> float:
-    """Pointwise Euler solution r(p) in [0, 1/2].
+def _euler_r(p: np.ndarray, density) -> np.ndarray:
+    """Pointwise Euler solutions r(p) in [0, 1/2] for an array of p.
 
-    The LHS decreases in r, so a sign change of the residual brackets a
-    unique root; bisection (Brent) refines it.  No sign change means p
-    lies outside the cutoff band; NaN is returned as the out-of-range
-    indicator (callers map it to 0 below p_l, 1/2 above p_u).
+    The LHS at p * r decreases in r, so where the residual changes sign
+    between r = 0 and r = 1/2 the root is unique; _EULER_BISECTIONS
+    halvings of [0, 1/2], done for every point at once, leave it within
+    5e-16.  Points without a sign change lie outside the cutoff band
+    and get NaN (callers map it to 0 below p_l, 1/2 above p_u).
     """
     rhs = euler_rhs(p, density)
-    lo = euler_lhs(max(p, EPS)) - rhs       # r = 0
-    hi = 2.0 - rhs                           # r = 1/2 (limit value)
-    if lo <= 0.0 or hi >= 0.0:
-        return float("nan")
-    # p * r written out: star() validates its arguments on every call.
-    return brentq(lambda r: euler_lhs(p + r - 2.0 * p * r) - rhs, 0.0, 0.5, xtol=1e-12)
+    # Residual positive at r = 0, negative at r = 1/2 (where the LHS is 2).
+    inside = (euler_lhs(np.maximum(p, EPS)) > rhs) & (rhs > 2.0)
+    slope = 1.0 - 2.0 * p  # p * r = p + slope * r
+    r, half = np.zeros(p.shape), 0.5
+    for _ in range(_EULER_BISECTIONS):
+        half *= 0.5
+        mid = r + half
+        np.copyto(r, mid, where=euler_lhs(p + slope * mid) > rhs)
+    return np.where(inside, r + half, np.nan)
+
+
+def solve_euler_r(p: float, density) -> float:
+    """Pointwise Euler solution r(p) in [0, 1/2], or NaN outside the
+    cutoff band; the one-point call of the grid solve."""
+    return float(_euler_r(np.array([p], dtype=float), density)[0])
 
 
 def find_cutoffs(density, scan_points: int = 4096) -> CutoffPair:
     """Cutoff probabilities: r(p_l) = 0 and r(p_u) = 1/2 boundaries.
 
     p_u solves RHS(p) = 2 (the LHS limit at r = 1/2) and p_l solves
-    LHS(p) = RHS(p) (the r = 0 boundary); each root is bracketed by a
-    sign scan and polished by bisection to 1e-8.  A point mass
-    collapses both cutoffs onto the atom.
+    LHS(p) = RHS(p) (the r = 0 boundary); each root is bracketed by the
+    first sign change in its declared direction on a scan grid and
+    polished by bisection to 1e-8.  A point mass collapses both cutoffs
+    onto the atom.
     """
     if isinstance(density, PointMassDensity):
         return CutoffPair(density.p0, density.p0)
+    # Imported here: scipy.optimize adds about 24 MB of resident memory,
+    # and only the continuous solvers use it.
+    from scipy.optimize import brentq
 
     p_min = max(float(density.grid[0]), 1e-9)
     p_max = min(density.support_sup(), 0.5)
@@ -352,36 +374,42 @@ def find_cutoffs(density, scan_points: int = 4096) -> CutoffPair:
         raise ValueError("find_cutoffs: degenerate density grid")
 
     def root_on(fn, increasing: bool) -> float:
-        vals = np.array([fn(float(p)) for p in ps])
-        sign_change = np.nonzero(np.diff(np.sign(vals)) != 0.0)[0]
-        if sign_change.size == 0:
+        vals = fn(ps)
+        step = np.diff(np.sign(vals))
+        # Only a crossing in the declared direction counts.  Where
+        # f(0) = 0, F and f are both linear in the first grid cell, so
+        # the RHS is flat there while the LHS falls through it: a
+        # spurious down-crossing of the p_l residual.
+        crossing = np.nonzero(step > 0.0 if increasing else step < 0.0)[0]
+        if crossing.size == 0:
             # Boundary never crossed inside the support: the cutoff
             # sits at whichever support edge the sign points to.
             if increasing:
                 return float(ps[0] if vals[0] >= 0.0 else ps[-1])
             return float(ps[0] if vals[0] <= 0.0 else ps[-1])
-        k = int(sign_change[0])
+        k = int(crossing[0])
         return brentq(fn, float(ps[k]), float(ps[k + 1]), xtol=1e-8)
 
     # RHS decreases through 2 at p_u; the r=0 residual increases through
     # 0 at p_l.
     p_u = root_on(lambda p: euler_rhs(p, density) - 2.0, increasing=False)
-    p_l = root_on(lambda p: euler_lhs(max(p, EPS)) - euler_rhs(p, density), increasing=True)
+    p_l = root_on(lambda p: euler_lhs(np.maximum(p, EPS)) - euler_rhs(p, density), increasing=True)
     return CutoffPair(p_l=min(p_l, p_u), p_u=p_u)
 
 
 def solve_layering(density, num: int = 4097) -> LayerProfile:
-    """Solve the Euler equation pointwise on a grid over [p_l, p_u]."""
+    """Solve the Euler equation on a grid over [p_l, p_u], all interior
+    points in one array pass."""
     cut = find_cutoffs(density)
     grid = np.linspace(cut.p_l, cut.p_u, num)
     r = np.empty(num)
     r[0], r[-1] = 0.0, 0.5
-    for i in range(1, num - 1):
-        val = solve_euler_r(float(grid[i]), density)
-        if math.isnan(val):
-            # Roundoff at the band edges: clamp to the nearer boundary.
-            val = 0.0 if grid[i] - cut.p_l < cut.p_u - grid[i] else 0.5
-        r[i] = val
+    inner = grid[1:-1]
+    # Roundoff at the band edges leaves no sign change: clamp those
+    # points to the nearer boundary.
+    nearer = np.where(inner - cut.p_l < cut.p_u - inner, 0.0, 0.5)
+    val = _euler_r(inner, density)
+    r[1:-1] = np.where(np.isnan(val), nearer, val)
     r = np.maximum.accumulate(r)
     return LayerProfile(grid=grid, r=r)
 
@@ -410,6 +438,9 @@ def expected_capacity_continuous(density, num: int = 4097) -> float:
     C^e = integral F(p) log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp,
     cross-checked against the integration-by-parts form
     F(p_l) R(p_l) + integral f(p) R(p) dp; the two must agree to 1e-6.
+    A single-layer outage code is one admissible profile, so C^e below
+    the best outage rate (less 1e-9) means the solve failed: both
+    certificates raise SolverError.
     """
     if isinstance(density, PointMassDensity):
         return bsc_capacity(density.p0)
@@ -423,6 +454,8 @@ def expected_capacity_continuous(density, num: int = 4097) -> float:
     alt = float(density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g))
     if abs(value - alt) > 1e-6:
         raise SolverError("expected_capacity_continuous: integral forms disagree")
+    if value < best_outage_rate(density)[1] - 1e-9:
+        raise SolverError("expected_capacity_continuous: below the best outage rate")
     return value
 
 

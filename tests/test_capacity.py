@@ -198,3 +198,58 @@ def test_best_outage_dominates_grid(comp):
     _, value = best_outage_rate(comp)
     for q in np.linspace(0.0, 0.95, 24):
         assert value >= (1.0 - q) * capacity_vs_outage(comp, float(q)) - 1e-12
+
+
+def _greedy_c_q(composite, q):
+    """C_q by the per-point greedy loop outage_curve replaced: drop
+    states worst-first while each whole atom still fits under q.  None
+    where every atom fits (q within rounding of 1), which the loop
+    treated as unreachable."""
+    if isinstance(composite, GilbertElliott):
+        composite = composite.as_composite()
+    params, weights = composite.params, composite.pmf
+    removed = 0.0
+    for i in np.argsort(-params):
+        if weights[i] == 0.0:
+            continue
+        if removed + weights[i] <= q + 1e-12:
+            removed += weights[i]
+        else:
+            return bsc_capacity(params[i]) if composite.family == "bsc" else 1.0 - params[i]
+    return None
+
+
+@st.composite
+def _outage_composites(draw):
+    """BSC or BEC composites with tied parameters and zero-mass atoms,
+    or a frozen Gilbert-Elliott channel."""
+    if draw(st.booleans()):
+        p_good = draw(st.floats(0.0, 0.49))
+        p_bad = draw(st.floats(p_good, 0.5).filter(lambda p: p > p_good))
+        return GilbertElliott(p_good, p_bad, g=0.0, b=0.0, pi_good=draw(st.floats(0.0, 1.0)))
+    family = draw(st.sampled_from(["bsc", "bec"]))
+    top = 0.5 if family == "bsc" else 1.0
+    pool = draw(st.lists(st.floats(0.0, top), min_size=1, max_size=4))
+    k = draw(st.integers(1, 8))
+    params = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    weights = np.array(draw(st.lists(st.integers(0, 9), min_size=k, max_size=k)), dtype=float)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    state = BscState if family == "bsc" else BecState
+    return DiscreteComposite(tuple(state(p) for p in params), weights / weights.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(comp=_outage_composites(), qs=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6))
+def test_outage_curve_matches_greedy_oracle(comp, qs):
+    law = comp.as_composite() if isinstance(comp, GilbertElliott) else comp
+    masses = np.cumsum(law.pmf[np.argsort(-law.params)])
+    grid = np.concatenate([qs, [0.0], masses, masses - 1e-12, masses + 1e-12, masses + 2e-12])
+    grid = grid[(grid >= 0.0) & (grid < 1.0)]
+    curve = outage_curve(comp, grid)
+    want = [_greedy_c_q(comp, float(q)) for q in grid]
+    kept = np.array([w is not None for w in want])
+    assert np.array_equal(curve.c_q[kept], [w for w in want if w is not None])
+    # Past every atom the best supported state is kept.
+    best = law.support_params().min()
+    assert np.all(curve.c_q[~kept] == (bsc_capacity(best) if law.family == "bsc" else 1.0 - best))

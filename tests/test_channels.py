@@ -106,6 +106,11 @@ def test_discrete_composite_validation():
         DiscreteComposite(states, (-0.1, 1.1))
     with pytest.raises(ValueError):
         DiscreteComposite((BscState(0.1), BecState(0.3)), (0.5, 0.5))
+    # every comparison with NaN is false, so NaN must be rejected explicitly
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteComposite(states, (np.nan, np.nan))
+    with pytest.raises(ValueError):
+        DiscreteComposite(states, (np.nan, 1.0))
 
 
 def test_discrete_composite_support():
@@ -132,6 +137,19 @@ def test_density_validation():
         ContinuousBscComposite(grid, 2.0 * f)  # mass 2
     with pytest.raises(ValueError):
         ContinuousBscComposite(grid[::-1], f)  # decreasing grid
+    for bad in (np.nan, np.inf):
+        g = grid.copy()
+        g[25] = bad
+        with pytest.raises(ValueError, match="grid"):
+            ContinuousBscComposite(g, f)
+        dens = f.copy()
+        dens[25] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ContinuousBscComposite(grid, dens)
+    g = grid.copy()
+    g[0] = np.nan
+    with pytest.raises(ValueError, match="grid"):
+        ContinuousBscComposite(g, f)
 
 
 def test_point_mass():

@@ -206,6 +206,34 @@ def test_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_nan_inputs_exit_2(tmp_path, capsys):
+    dens = tmp_path / "dens.csv"
+    f = np.full(31, 1.0 / 0.3)
+    f[15] = np.nan
+    dens.write_text("".join(f"{p},{v}\n" for p, v in zip(np.linspace(0.1, 0.4, 31).tolist(), f.tolist())))
+    cfg = tmp_path / "dens.cfg"
+    cfg.write_text(f"family=density\ndensity_file={dens}\n")
+    assert main(["spectrum", "--config", str(cfg), "--trials", "10", "--grid", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "finite" in captured.err
+    pmf = tmp_path / "pmf.cfg"
+    pmf.write_text("family=bsc\nstates=0.1,0.2\npmf=nan,nan\n")
+    assert main(["capacity", "--config", str(pmf), "--grid", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pmf" in err
+
+
+def test_capacity_q_within_rounding_of_1(tmp_path, capsys):
+    # The pmf sums to 1 - 5e-13, so at q_max every atom fits under q and
+    # the best state is the one kept (the scalar search used to crash).
+    cfg = tmp_path / "near1.cfg"
+    cfg.write_text("family=bsc\nstates=0.1,0.2\npmf=0.5,0.4999999999995\nq_max=0.9999999999999\n")
+    assert main(["capacity", "--config", str(cfg), "--grid", "5"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    assert data[-1, 1] == pytest.approx(bsc_capacity(0.1), abs=1e-12)
+
+
 def test_capacity_collapsed_layers(tmp_path, capsys):
     # The optimum collapses layers onto r = 1/2; coordinate ascent used
     # to crash here with a traceback.

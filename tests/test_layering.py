@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
+from scipy.stats import beta
 
 from chancap import (
     BscState,
@@ -39,6 +40,7 @@ from chancap import (
     solve_layering,
 )
 from chancap import layering
+from chancap.channels import EPS
 
 UNIFORM = ContinuousBscComposite.uniform()
 
@@ -48,6 +50,44 @@ def _triangle(a=0.02, b=0.48, num=2001):
     g = np.linspace(a, b, num)
     f = np.where(g <= c, (g - a) / (c - a), (b - g) / (b - c)) * (2.0 / (b - a))
     return ContinuousBscComposite(g, f)
+
+
+def _normalized(g, f):
+    return ContinuousBscComposite(g, f / np.trapezoid(f, g))
+
+
+def _truncated_exponential(rate=8.0, num=2049):
+    g = np.linspace(0.0, 0.5, num)
+    return _normalized(g, np.exp(-rate * g))
+
+
+def _beta(a, b, top=0.4, num=1025):
+    g = np.linspace(0.0, top, num)
+    return _normalized(g, beta.pdf(g / top, a, b))
+
+
+def _brentq_euler_r(p, density):
+    """The per-point Euler solve the array bisection replaced: Brent's
+    method on LHS(p * r) = RHS(p), NaN where r = 0 and r = 1/2 give no
+    sign change."""
+    rhs = euler_rhs(p, density)
+    if euler_lhs(max(p, EPS)) - rhs <= 0.0 or 2.0 - rhs >= 0.0:
+        return float("nan")
+    return brentq(lambda r: euler_lhs(p + r - 2.0 * p * r) - rhs, 0.0, 0.5, xtol=1e-12)
+
+
+def _brentq_layering(density, num):
+    """solve_layering's profile from one scalar Brent solve per point."""
+    cut = find_cutoffs(density)
+    grid = np.linspace(cut.p_l, cut.p_u, num)
+    r = np.empty(num)
+    r[0], r[-1] = 0.0, 0.5
+    for i in range(1, num - 1):
+        val = _brentq_euler_r(float(grid[i]), density)
+        if math.isnan(val):
+            val = 0.0 if grid[i] - cut.p_l < cut.p_u - grid[i] else 0.5
+        r[i] = val
+    return grid, np.maximum.accumulate(r)
 
 
 def test_euler_lhs():
@@ -78,6 +118,30 @@ def test_solve_euler_r():
     # outside the cutoff band there is no root
     assert np.isnan(solve_euler_r(0.10, UNIFORM))
     assert np.isnan(solve_euler_r(0.20, UNIFORM))
+
+
+@pytest.mark.parametrize("density, num", [
+    (UNIFORM, 4097),
+    (_triangle(), 1025),
+    (_truncated_exponential(), 1025),
+    (_beta(2.0, 3.0), 1025),
+])
+def test_solve_layering_matches_brentq_oracle(density, num):
+    layer = solve_layering(density, num=num)
+    grid, r = _brentq_layering(density, num)
+    assert np.array_equal(layer.grid, grid)
+    assert np.max(np.abs(layer.r - r)) <= 1e-11
+
+
+def test_euler_sides_accept_arrays():
+    x = np.array([0.1, 0.25, 0.5])
+    assert np.array_equal(euler_lhs(x), [euler_lhs(float(v)) for v in x])
+    p = np.array([0.05, 0.15])
+    assert np.array_equal(euler_rhs(p, UNIFORM), [euler_rhs(float(v), UNIFORM) for v in p])
+    with pytest.raises(ValueError):
+        euler_lhs(np.array([0.2, 0.6]))
+    with pytest.raises(ValueError):
+        euler_rhs(np.array([0.0, 0.2]), UNIFORM)
 
 
 def test_find_cutoffs_uniform():
@@ -192,6 +256,35 @@ def test_solved_profile_is_first_order_optimal():
         r = np.maximum.accumulate(np.clip(layer.r + bump, 0.0, 0.5))
         r[0], r[-1] = 0.0, 0.5
         assert functional(LayerProfile(g, r)) <= base + 1e-9
+
+
+def test_expected_capacity_grid_convergence():
+    # Observed: difference 4.2e-9 and order 1.91 (trapezoid plus central
+    # differences are second order).
+    c4, c8, c16 = (expected_capacity_continuous(UNIFORM, num=n) for n in (4097, 8193, 16385))
+    assert abs(c4 - c16) <= 1e-8
+    order = math.log2(abs(c4 - c8) / abs(c8 - c16))
+    assert 1.5 <= order <= 2.5
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("b", [2.0, 3.0, 4.0])
+def test_expected_capacity_sandwich_on_beta(a, b):
+    # f(0) = 0: the cutoff scan used to take a spurious down-crossing of
+    # the p_l residual in the first grid cell (Beta(2,2): 0.1045 against
+    # a best outage rate of 0.1391).
+    d = _beta(a, b)
+    ce = expected_capacity_continuous(d)
+    assert best_outage_rate(d)[1] - 1e-9 <= ce <= mean_state_capacity(d)
+
+
+def test_expected_capacity_rejects_answer_below_outage_rate():
+    # Two separated bands: the single-band Euler solve gives 0.1240
+    # against a best outage rate of 0.1410.
+    g = np.linspace(0.0, 0.4, 1025)
+    bumps = 0.3 * np.exp(-0.5 * ((g - 0.1) / 0.02) ** 2) + 0.7 * np.exp(-0.5 * ((g - 0.25) / 0.02) ** 2)
+    with pytest.raises(SolverError, match="below the best outage rate"):
+        expected_capacity_continuous(_normalized(g, bumps))
 
 
 def test_ge_expected_capacity_degenerate():
