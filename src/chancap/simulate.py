@@ -36,8 +36,10 @@ from .channels import (
 )
 from .spectrum import _shard_sizes
 
-# Codebook size guard: floor(2^{nR}) entries of n bits.
+# Codebook size guards: floor(2^{nR}) entries of n bits, and at most
+# _MAX_DRAW int8 entries in one shard's draw of per-trial codebooks.
 _MAX_NR = 20.0
+_MAX_DRAW = 2**26
 
 
 @dataclass(frozen=True)
@@ -137,15 +139,21 @@ def simulate_outage_code_sweep(
         raise ValueError("simulate: rate must be positive")
     if epsilon <= 0.0:
         raise ValueError("simulate: epsilon must be positive")
+    shards = max(1, min(shards, trials))
+    sizes = _shard_sizes(trials, shards)
     for n in ns:
         if n * rate > _MAX_NR:
             raise ValueError(f"simulate: nR = {n * rate:.1f} exceeds the codebook budget ({_MAX_NR})")
+        entries = sizes[0] * math.floor(2.0 ** (n * rate)) * n
+        if entries > _MAX_DRAW:
+            raise ValueError(
+                f"simulate: a shard's codebooks at n = {n} take {entries} entries, "
+                f"over the memory budget of {_MAX_DRAW}; lower trials, n or rate"
+            )
 
     threshold = capacity_vs_outage(composite, q) - epsilon
     n_max = max(ns)
-    shards = max(1, min(shards, trials))
     shard_seqs = np.random.SeedSequence(seed).spawn(shards)
-    sizes = _shard_sizes(trials, shards)
 
     counts = {n: {"outage": 0, "error": 0, "ml_error": 0, "violations": 0} for n in ns}
     for size, seq in zip(sizes, shard_seqs):

@@ -77,7 +77,12 @@ def info_density_bec(e, n: int, alpha: float):
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Sorted Monte Carlo samples of the normalized information density."""
+    """Sorted Monte Carlo samples of the normalized information density.
+
+    `state_ids[i]` is the index of the state drawn for `values[i]` (-1 for
+    a continuous crossover density); within a run of tied values the
+    state indices do not decrease.
+    """
 
     values: np.ndarray
     state_ids: np.ndarray
@@ -129,6 +134,26 @@ def _shard_sizes(trials: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
+def _bsc_density(counts: np.ndarray, n: int, params: np.ndarray) -> np.ndarray:
+    """(1/n) i at `counts` flips in n uses of BSC(params), exact at p in {0, 1}."""
+    frac = counts.astype(float) / n
+    # p in {0, 1} states are handled exactly below; clamp only
+    # protects the vectorized log evaluation.
+    pc = np.clip(params, 1e-300, 1.0 - 1e-16)
+    v = 1.0 + frac * np.log2(pc) + (1.0 - frac) * np.log2(1.0 - pc)
+    exact_zero = params == 0.0
+    exact_one = params == 1.0
+    if np.any(exact_zero):
+        if np.any(counts[exact_zero] != 0):
+            raise AssertionError("estimate_spectrum: impossible flip for p = 0 state")
+        v[exact_zero] = 1.0
+    if np.any(exact_one):
+        if np.any(counts[exact_one] != n):
+            raise AssertionError("estimate_spectrum: impossible non-flip for p = 1 state")
+        v[exact_one] = 1.0
+    return v
+
+
 def estimate_spectrum(composite, n: int, trials: int, seed, shards: int = 16) -> EmpiricalCdf:
     """Monte Carlo estimate of the information spectrum at blocklength n.
 
@@ -136,8 +161,12 @@ def estimate_spectrum(composite, n: int, trials: int, seed, shards: int = 16) ->
     (Hamming distance or erasure count) as a Binomial(n, .) variable,
     and maps it through the per-block density.  Trials are split into
     `shards` logical shards with seeds spawned from the master seed by
-    counter; shard outputs are concatenated in shard order and stably
-    sorted, so the result is independent of how shards are executed.
+    counter, and the pooled samples are sorted by value, ties by state
+    index, so the result is independent of how shards are executed.
+
+    A discrete draw's value depends only on its (state, count) cell, so
+    the density is evaluated once per occupied cell and the sorted cells
+    are expanded by their multiplicities: O(trials) memory for any n.
     """
     if n < 1:
         raise ValueError("estimate_spectrum: n must be >= 1")
@@ -147,53 +176,45 @@ def estimate_spectrum(composite, n: int, trials: int, seed, shards: int = 16) ->
         if composite.is_ergodic:
             raise ValueError("estimate_spectrum: ergodic Gilbert-Elliott has no frozen-state spectrum")
         composite = composite.as_composite()
+    discrete = isinstance(composite, DiscreteComposite)
+    if not (discrete or isinstance(composite, ContinuousBscComposite)):
+        raise ValueError("estimate_spectrum: unsupported composite type")
 
     shards = max(1, min(shards, trials))
     seqs = np.random.SeedSequence(seed).spawn(shards)
-    vals = []
-    ids = []
+    params = composite.params if discrete else None
+    draws = []
     for size, seq in zip(_shard_sizes(trials, shards), seqs):
-        if size == 0:
-            continue
         rng = np.random.default_rng(seq)
-        if isinstance(composite, DiscreteComposite):
+        if discrete:
             idx = sample_state_indices(composite, rng, size)
-            params = composite.params[idx]
-        elif isinstance(composite, ContinuousBscComposite):
-            params = composite.sample(rng, size)
-            idx = np.full(size, -1)
+            draws.append(np.stack((idx, rng.binomial(n, params[idx]))))
         else:
-            raise ValueError("estimate_spectrum: unsupported composite type")
+            p = composite.sample(rng, size)
+            draws.append(_bsc_density(rng.binomial(n, p), n, p))
 
-        if isinstance(composite, DiscreteComposite) and composite.family == "bec":
-            counts = rng.binomial(n, params)
-            v = (n - counts.astype(float)) / n
-        else:
-            counts = rng.binomial(n, params)
-            frac = counts.astype(float) / n
-            # p in {0, 1} states are handled exactly below; clamp only
-            # protects the vectorized log evaluation.
-            pc = np.clip(params, 1e-300, 1.0 - 1e-16)
-            v = 1.0 + frac * np.log2(pc) + (1.0 - frac) * np.log2(1.0 - pc)
-            exact_zero = params == 0.0
-            exact_one = params == 1.0
-            if np.any(exact_zero):
-                if np.any(counts[exact_zero] != 0):
-                    raise AssertionError("estimate_spectrum: impossible flip for p = 0 state")
-                v[exact_zero] = 1.0
-            if np.any(exact_one):
-                if np.any(counts[exact_one] != n):
-                    raise AssertionError("estimate_spectrum: impossible non-flip for p = 1 state")
-                v[exact_one] = 1.0
-        vals.append(v)
-        ids.append(idx)
+    if not discrete:
+        values = np.sort(np.concatenate(draws))
+        return EmpiricalCdf(values=values, state_ids=np.full(trials, -1), blocklength=n, trials=trials)
 
-    values = np.concatenate(vals)
-    state_ids = np.concatenate(ids)
-    order = np.argsort(values, kind="stable")
+    idx, counts = np.concatenate(draws, axis=1)
+    span, levels = int(n) + 1, None
+    if len(params) * span > np.iinfo(np.int64).max:
+        # The packed (state, count) key would overflow: pack count ranks.
+        levels, counts = np.unique(counts, return_inverse=True)
+        span = levels.size
+    keys, mult = np.unique(idx * span + counts, return_counts=True)
+    cell_state, cell_count = np.divmod(keys, span)
+    if levels is not None:
+        cell_count = levels[cell_count]
+    if composite.family == "bec":
+        v = (n - cell_count.astype(float)) / n
+    else:
+        v = _bsc_density(cell_count, n, params[cell_state])
+    order = np.lexsort((cell_state, v))
     return EmpiricalCdf(
-        values=values[order],
-        state_ids=state_ids[order],
+        values=np.repeat(v[order], mult[order]),
+        state_ids=np.repeat(cell_state[order], mult[order]),
         blocklength=n,
         trials=trials,
     )

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,30 @@ def test_error_exit_codes(tmp_path, capsys):
     rng.write_text("q_min=0.9\nq_max=0.5\n")
     assert main(["capacity", "--config", str(rng)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_codebook_memory_guard_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("family=bsc\nstates=0.05\npmf=1\nns=20\nrate=1\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "memory budget" in captured.err
+
+
+# sha256 of the `chancap spectrum` CSV, frozen from the implementation
+# that stably argsorted every draw.
+SPECTRUM_DEFAULT_SHA256 = "d60df58905910431fde6c4a0a1ec6b6bab8bc037db570d15d0beecc14fca7983"
+SPECTRUM_BEC_SHA256 = "e7ef0942fbd8f8ee4f682ade261fce3284f51bf6ffe0db6547e27da2f1376a3d"
+
+
+def test_spectrum_csv_bytes_frozen(tmp_path, capsys):
+    assert main(["spectrum"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SPECTRUM_DEFAULT_SHA256
+    cfg = tmp_path / "bec.cfg"
+    cfg.write_text("family=bec\nerasures=0,0.1,0.3\npmf=0.2,0.5,0.3\nseed=3\n")
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SPECTRUM_BEC_SHA256
 
 
 def test_nan_inputs_exit_2(tmp_path, capsys):

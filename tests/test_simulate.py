@@ -117,6 +117,15 @@ def test_simulate_validation():
         simulate_outage_code(bec, n=8, rate=0.15, q=0.1, trials=100)
 
 
+def test_codebook_draw_guard():
+    # One shard would draw 1250 codebooks of 2^20 words of 20 bits
+    # (about 26e9 entries); it is refused before anything is drawn.
+    with pytest.raises(ValueError, match="memory budget"):
+        simulate_outage_code(NOISELESS, n=20, rate=1.0, q=0.1, trials=10000)
+    # The largest draw elsewhere in the suite (250 x 1024 x 8) still runs.
+    simulate_outage_code(NOISELESS, n=8, rate=1.25, q=0.1, trials=2000, seed=0)
+
+
 def test_uncoded_bec_approaches_mean_rate():
     bec = DiscreteComposite((BecState(0.1), BecState(0.3)), [0.5, 0.5])
     res = simulate_uncoded_bec(bec, n=2000, trials=500, seed=4)

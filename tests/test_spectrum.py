@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancap import (
     BecState,
@@ -14,6 +18,8 @@ from chancap import (
     info_density_bec,
     info_density_bsc,
 )
+from chancap.channels import sample_state_indices
+from chancap.spectrum import _shard_sizes
 
 
 def test_info_density_bsc_values():
@@ -166,3 +172,107 @@ def test_estimate_spectrum_domain():
         estimate_spectrum(comp, n=0, trials=10, seed=0)
     with pytest.raises(ValueError):
         estimate_spectrum(comp, n=10, trials=0, seed=0)
+
+
+def test_estimate_spectrum_huge_blocklength():
+    # Draws are counted per (state, count) cell, so memory stays
+    # O(trials) however large n is.
+    comp = DiscreteComposite((BscState(0.05), BscState(0.3)), [0.5, 0.5])
+    start = time.perf_counter()
+    cdf = estimate_spectrum(comp, n=10**12, trials=1000, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert np.all(np.isfinite(cdf.values)) and np.all(np.diff(cdf.values) >= 0.0)
+    assert np.allclose(cdf.values[cdf.state_ids == 0], bsc_capacity(0.05), atol=1e-5)
+
+
+def _argsort_spectrum(composite, n, trials, seed, shards=16):
+    """estimate_spectrum as it was before draws were counted per cell:
+    evaluate every draw, then stably argsort the pooled values."""
+    if isinstance(composite, GilbertElliott):
+        composite = composite.as_composite()
+    shards = max(1, min(shards, trials))
+    seqs = np.random.SeedSequence(seed).spawn(shards)
+    vals = []
+    ids = []
+    for size, seq in zip(_shard_sizes(trials, shards), seqs):
+        rng = np.random.default_rng(seq)
+        if isinstance(composite, DiscreteComposite):
+            idx = sample_state_indices(composite, rng, size)
+            params = composite.params[idx]
+        else:
+            params = composite.sample(rng, size)
+            idx = np.full(size, -1)
+        counts = rng.binomial(n, params)
+        if isinstance(composite, DiscreteComposite) and composite.family == "bec":
+            v = (n - counts.astype(float)) / n
+        else:
+            frac = counts.astype(float) / n
+            pc = np.clip(params, 1e-300, 1.0 - 1e-16)
+            v = 1.0 + frac * np.log2(pc) + (1.0 - frac) * np.log2(1.0 - pc)
+            v[(params == 0.0) | (params == 1.0)] = 1.0
+        vals.append(v)
+        ids.append(idx)
+    values = np.concatenate(vals)
+    state_ids = np.concatenate(ids)
+    order = np.argsort(values, kind="stable")
+    return values[order], state_ids[order]
+
+
+@st.composite
+def _spectrum_composites(draw):
+    """BSC/BEC mixtures with repeated, zero-mass and p in {0, 1/2} (BEC:
+    alpha in {0, 1}) states, frozen Gilbert-Elliott, the uniform law and
+    a gridded density."""
+    kind = draw(st.sampled_from(["bsc", "bec", "ge", "uniform", "density"]))
+    if kind == "ge":
+        p_good = draw(st.floats(0.0, 0.49))
+        p_bad = draw(st.floats(p_good, 0.5).filter(lambda p: p > p_good))
+        return GilbertElliott(p_good, p_bad, g=0.0, b=0.0, pi_good=draw(st.floats(0.0, 1.0)))
+    if kind == "uniform":
+        return ContinuousBscComposite.uniform()
+    if kind == "density":
+        m = draw(st.integers(2, 9))
+        grid = np.linspace(0.0, draw(st.floats(0.05, 0.5)), m)
+        f = np.array(draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)), dtype=float)
+        if f.sum() == 0.0:
+            f[0] = 1.0
+        return ContinuousBscComposite(grid, f / np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(grid)))
+    edges = [0.0, 0.5] if kind == "bsc" else [0.0, 1.0]
+    pool = draw(st.lists(st.sampled_from(edges) | st.floats(0.0, edges[1]), min_size=1, max_size=4))
+    k = draw(st.integers(1, 8))
+    params = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    weights = np.array(draw(st.lists(st.integers(0, 9), min_size=k, max_size=k)), dtype=float)
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    state = BscState if kind == "bsc" else BecState
+    return DiscreteComposite(tuple(state(p) for p in params), weights / weights.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    comp=_spectrum_composites(),
+    n=st.integers(1, 2000),
+    trials=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_spectrum_matches_argsort_oracle(comp, n, trials, seed):
+    got = estimate_spectrum(comp, n=n, trials=trials, seed=seed)
+    values, state_ids = _argsort_spectrum(comp, n, trials, seed)
+    assert got.values.tobytes() == values.tobytes()
+    # Within each run of tied values: the same states, in increasing order.
+    runs = np.flatnonzero(np.diff(values)) + 1
+    for mine, theirs in zip(np.split(got.state_ids, runs), np.split(state_ids, runs)):
+        assert np.array_equal(np.sort(mine), np.sort(theirs))
+        assert np.all(np.diff(mine) >= 0)
+
+
+def test_estimate_spectrum_key_overflow_matches_oracle():
+    # At n near 2^63 the packed (state, count) key would overflow int64.
+    comp = DiscreteComposite((BscState(0.0), BscState(0.3), BscState(0.5), BscState(0.3)),
+                             [0.1, 0.4, 0.2, 0.3])
+    n = 2**62
+    got = estimate_spectrum(comp, n=n, trials=3000, seed=5)
+    values, state_ids = _argsort_spectrum(comp, n, 3000, 5)
+    assert got.values.tobytes() == values.tobytes()
+    order = np.lexsort((state_ids, values))
+    assert np.array_equal(got.state_ids, state_ids[order])
