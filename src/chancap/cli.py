@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import (
+    best_outage_rate,
     mean_state_capacity,
     outage_curve,
     shannon_capacity,
@@ -95,8 +96,7 @@ def _expected_capacity_value(channel) -> float:
         channel = channel.as_composite()
     if isinstance(channel, DiscreteComposite):
         if channel.family == "bec":
-            # Uncoded transmission is optimal for erasure composites.
-            return 1.0 - float(np.dot(channel.pmf, channel.params))
+            return best_outage_rate(channel)[1]
         order = np.argsort(channel.params)
         _, value = optimize_discrete(channel.pmf[order], channel.params[order])
         return value

@@ -15,9 +15,13 @@ typical-set decoder is correct, the true codeword is the unique passer
 and hence the strict Hamming minimizer, so per trial
 1{ML error} <= 1{TS outage or TS error}.
 
-Trials are sharded with seeds spawned from the master seed and merged
-by summing counts; blocklengths in a sweep share each shard's state and
-noise streams (common random numbers), pairing the per-n comparisons.
+Sweep trials are sharded with seeds spawned from the master seed and
+merged by summing counts; blocklengths in a sweep share each shard's
+state and noise streams (common random numbers), pairing the per-n
+comparisons.  Codewords and noise blocks are held as little-endian
+uint64 words, ceil(n/64) per block with the bits above n zero, and
+Hamming distances are popcounts of their XOR.  Uncoded BEC trials use
+one generator per call.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from .channels import (
     GilbertElliott,
     sample_state_indices,
 )
-from .spectrum import _shard_sizes
 
-# Codebook size guards: floor(2^{nR}) entries of n bits, and at most
-# _MAX_DRAW int8 entries in one shard's draw of per-trial codebooks.
+# Codebook size guards: floor(2^{nR}) codewords of n bits, and at most
+# _MAX_DRAW bytes of uint64 words in one shard's draw of per-trial
+# codebooks.
 _MAX_NR = 20.0
 _MAX_DRAW = 2**26
 
@@ -67,6 +71,40 @@ class SimResult:
         # just guarantee decoding errors on a binary channel).
         if not 0.0 <= self.expected_rate <= self.rate + 1e-12:
             raise ValueError("SimResult: expected_rate must lie in [0, rate]")
+
+
+def _shard_sizes(trials: int, shards: int) -> list[int]:
+    base, extra = divmod(trials, shards)
+    return [base + (1 if i < extra else 0) for i in range(shards)]
+
+
+def _words(n: int) -> int:
+    """uint64 words per packed n-bit block."""
+    return -(-n // 64)
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """(size, n) 0/1 array -> (size, ceil(n/64)) uint64 words, bit j of
+    the block at bit j % 64 of word j // 64."""
+    size, n = bits.shape
+    padded = np.zeros((size, 64 * _words(n)), dtype=bool)
+    padded[:, :n] = bits
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(size, -1)
+
+
+def _draw_codebooks(rng, size: int, m: int, n: int) -> np.ndarray:
+    """`size` codebooks of m uniform n-bit codewords, as (size, m, ceil(n/64))
+    uint64 words with the bits above n cleared."""
+    books = rng.integers(0, 2**64, size=(size, m, _words(n)), dtype=np.uint64)
+    if n % 64:
+        books[..., -1] &= np.uint64((1 << (n % 64)) - 1)
+    return books
+
+
+def _distances(books: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hamming distances (size, m) between packed codebooks and packed
+    received blocks (size, words)."""
+    return np.bitwise_count(books ^ y[:, None, :]).sum(axis=2, dtype=np.int64)
 
 
 def ml_decode(codebook: np.ndarray, y: np.ndarray, state) -> int:
@@ -144,11 +182,11 @@ def simulate_outage_code_sweep(
     for n in ns:
         if n * rate > _MAX_NR:
             raise ValueError(f"simulate: nR = {n * rate:.1f} exceeds the codebook budget ({_MAX_NR})")
-        entries = sizes[0] * math.floor(2.0 ** (n * rate)) * n
-        if entries > _MAX_DRAW:
+        draw_bytes = sizes[0] * math.floor(2.0 ** (n * rate)) * _words(n) * 8
+        if draw_bytes > _MAX_DRAW:
             raise ValueError(
-                f"simulate: a shard's codebooks at n = {n} take {entries} entries, "
-                f"over the memory budget of {_MAX_DRAW}; lower trials, n or rate"
+                f"simulate: a shard's codebooks at n = {n} take {draw_bytes} bytes, "
+                f"over the memory budget of {_MAX_DRAW} bytes; lower trials, n or rate"
             )
 
     threshold = capacity_vs_outage(composite, q) - epsilon
@@ -170,11 +208,10 @@ def simulate_outage_code_sweep(
         for n, book_seq in zip(ns, book_seqs):
             book_rng = np.random.default_rng(book_seq)
             m = int(math.floor(2.0 ** (n * rate)))
-            books = book_rng.integers(0, 2, size=(size, m, n), dtype=np.int8)
+            books = _draw_codebooks(book_rng, size, m, n)
             sent = book_rng.integers(0, m, size=size)
-            noise = (noise_u[:, :n] < ps[:, None]).astype(np.int8)
-            y = books[np.arange(size), sent] ^ noise
-            dist = (books ^ y[:, None, :]).sum(axis=2)
+            y = books[np.arange(size), sent] ^ _pack_bits(noise_u[:, :n] < ps[:, None])
+            dist = _distances(books, y)
             dens = 1.0 + (dist / n) * log_p + (1.0 - dist / n) * log_1p
             passed = dens >= threshold
             num_passed = passed.sum(axis=1)
@@ -232,42 +269,33 @@ def simulate_outage_code(
     )[0]
 
 
-def simulate_uncoded_bec(composite: DiscreteComposite, n: int, trials: int, seed: int = 0,
-                         shards: int = 8) -> SimResult:
+def simulate_uncoded_bec(composite: DiscreteComposite, n: int, trials: int, seed: int = 0) -> SimResult:
     """Transmit information bits uncoded over a composite BEC.
 
     The receiver keeps the unerased positions, so a state-alpha trial
     delivers (n - erasures)/n information bits per use, approaching
     1 - alpha; the achieved expected rate estimates 1 - E[alpha].
     No outages and no errors occur: erasure locations are known.
+
+    Trials are split over the states by one Multinomial(trials, pmf)
+    draw, and each state's erasure counts come from one scalar-alpha
+    binomial call.
     """
     if not (isinstance(composite, DiscreteComposite) and composite.family == "bec"):
         raise ValueError("simulate_uncoded_bec: needs a discrete BEC composite")
     if n < 1 or trials < 1:
         raise ValueError("simulate_uncoded_bec: n and trials must be >= 1")
 
-    shards = max(1, min(shards, trials))
-    seqs = np.random.SeedSequence(seed).spawn(shards)
-    alphas = composite.params
+    rng = np.random.default_rng(seed)
+    support = np.flatnonzero(composite.pmf > 0.0)
     rate_sum = 0.0
-    state_sums = np.zeros(len(alphas))
-    state_counts = np.zeros(len(alphas), dtype=int)
-    for size, seq in zip(_shard_sizes(trials, shards), seqs):
-        if size == 0:
-            continue
-        rng = np.random.default_rng(seq)
-        idx = sample_state_indices(composite, rng, size)
-        erased = rng.binomial(n, alphas[idx])
-        rates = (n - erased.astype(float)) / n
-        rate_sum += float(rates.sum())
-        np.add.at(state_sums, idx, rates)
-        np.add.at(state_counts, idx, 1)
-
-    per_state = {
-        int(i): float(state_sums[i] / state_counts[i])
-        for i in range(len(alphas))
-        if state_counts[i] > 0
-    }
+    per_state = {}
+    for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
+        if size > 0:
+            erased = rng.binomial(n, composite.params[state], size=size)
+            state_sum = float(((n - erased.astype(float)) / n).sum())
+            rate_sum += state_sum
+            per_state[int(state)] = state_sum / int(size)
     return SimResult(
         trials=trials,
         blocklength=n,

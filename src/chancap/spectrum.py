@@ -19,7 +19,6 @@ from .channels import (
     ContinuousBscComposite,
     DiscreteComposite,
     GilbertElliott,
-    sample_state_indices,
 )
 
 
@@ -129,11 +128,6 @@ def cdf_quantile(cdf: EmpiricalCdf, q: float) -> Quantile:
     return Quantile(value=value, at_atom=bool(multiplicity > 1))
 
 
-def _shard_sizes(trials: int, shards: int) -> list[int]:
-    base, extra = divmod(trials, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
-
-
 def _bsc_density(counts: np.ndarray, n: int, params: np.ndarray) -> np.ndarray:
     """(1/n) i at `counts` flips in n uses of BSC(params), exact at p in {0, 1}."""
     frac = counts.astype(float) / n
@@ -154,19 +148,23 @@ def _bsc_density(counts: np.ndarray, n: int, params: np.ndarray) -> np.ndarray:
     return v
 
 
-def estimate_spectrum(composite, n: int, trials: int, seed, shards: int = 16) -> EmpiricalCdf:
+def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     """Monte Carlo estimate of the information spectrum at blocklength n.
 
     Each trial draws a state, then the closed-form sufficient statistic
     (Hamming distance or erasure count) as a Binomial(n, .) variable,
-    and maps it through the per-block density.  Trials are split into
-    `shards` logical shards with seeds spawned from the master seed by
-    counter, and the pooled samples are sorted by value, ties by state
-    index, so the result is independent of how shards are executed.
+    and maps it through the per-block density.  All draws come from one
+    generator seeded with `seed`, and the samples are sorted by value,
+    ties by state index.
 
-    A discrete draw's value depends only on its (state, count) cell, so
-    the density is evaluated once per occupied cell and the sorted cells
-    are expanded by their multiplicities: O(trials) memory for any n.
+    For a discrete law the per-state trial counts are drawn first, as
+    one Multinomial(trials, pmf) vector over the states of positive
+    mass, and then each state's counts with one scalar-p binomial call:
+    the same law as drawing the pairs one by one, since the result is
+    sorted.  A draw's value depends only on its (state, count) cell, so
+    the density is evaluated once per occupied cell and the sorted
+    cells are expanded by their multiplicities: O(trials) memory for
+    any n.
     """
     if n < 1:
         raise ValueError("estimate_spectrum: n must be >= 1")
@@ -180,33 +178,20 @@ def estimate_spectrum(composite, n: int, trials: int, seed, shards: int = 16) ->
     if not (discrete or isinstance(composite, ContinuousBscComposite)):
         raise ValueError("estimate_spectrum: unsupported composite type")
 
-    shards = max(1, min(shards, trials))
-    seqs = np.random.SeedSequence(seed).spawn(shards)
-    params = composite.params if discrete else None
-    draws = []
-    for size, seq in zip(_shard_sizes(trials, shards), seqs):
-        rng = np.random.default_rng(seq)
-        if discrete:
-            idx = sample_state_indices(composite, rng, size)
-            draws.append(np.stack((idx, rng.binomial(n, params[idx]))))
-        else:
-            p = composite.sample(rng, size)
-            draws.append(_bsc_density(rng.binomial(n, p), n, p))
-
+    rng = np.random.default_rng(seed)
     if not discrete:
-        values = np.sort(np.concatenate(draws))
+        p = composite.sample(rng, trials)
+        values = np.sort(_bsc_density(rng.binomial(n, p), n, p))
         return EmpiricalCdf(values=values, state_ids=np.full(trials, -1), blocklength=n, trials=trials)
 
-    idx, counts = np.concatenate(draws, axis=1)
-    span, levels = int(n) + 1, None
-    if len(params) * span > np.iinfo(np.int64).max:
-        # The packed (state, count) key would overflow: pack count ranks.
-        levels, counts = np.unique(counts, return_inverse=True)
-        span = levels.size
-    keys, mult = np.unique(idx * span + counts, return_counts=True)
-    cell_state, cell_count = np.divmod(keys, span)
-    if levels is not None:
-        cell_count = levels[cell_count]
+    params = composite.params
+    support = np.flatnonzero(composite.pmf > 0.0)
+    cells = []
+    for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
+        if size > 0:
+            count, mult = np.unique(rng.binomial(n, params[state], size=size), return_counts=True)
+            cells.append((np.full(count.size, state), count, mult))
+    cell_state, cell_count, mult = (np.concatenate(c) for c in zip(*cells))
     if composite.family == "bec":
         v = (n - cell_count.astype(float)) / n
     else:

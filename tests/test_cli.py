@@ -39,6 +39,19 @@ def test_capacity_single_state(tmp_path, capsys):
     assert np.allclose(data[:, 4], c, atol=1e-12)
 
 
+def test_capacity_bec_table(tmp_path, capsys):
+    # Degraded erasure states: the expected rate is linear in H(X|U), so
+    # the best layering is one outage code, max_k W_k (1 - alpha_k) = 0.7,
+    # below the mean state capacity 1 - E[alpha] = 0.8.
+    cfg = tmp_path / "bec.cfg"
+    cfg.write_text("family=bec\nerasures=0.1,0.3\npmf=0.5,0.5\n")
+    assert main(["capacity", "--config", str(cfg), "--grid", "5"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    assert np.allclose(data[:, 3], 0.7, atol=1e-12)
+    assert np.allclose(data[:, 4], 0.8, atol=1e-12)
+    assert np.all(data[:, 2] <= data[:, 3] + 1e-12)
+
+
 def test_capacity_ge_steps_at_atom(tmp_path, capsys):
     cfg = tmp_path / "ge.cfg"
     cfg.write_text("family=ge\np_good=0.05\np_bad=0.3\nq_min=0\nq_max=0.98\n")
@@ -217,10 +230,12 @@ def test_codebook_memory_guard_exits_2(tmp_path, capsys):
     assert "memory budget" in captured.err
 
 
-# sha256 of the `chancap spectrum` CSV, frozen from the implementation
-# that stably argsorted every draw.
-SPECTRUM_DEFAULT_SHA256 = "d60df58905910431fde6c4a0a1ec6b6bab8bc037db570d15d0beecc14fca7983"
-SPECTRUM_BEC_SHA256 = "e7ef0942fbd8f8ee4f682ade261fce3284f51bf6ffe0db6547e27da2f1376a3d"
+# sha256 of the `chancap spectrum` CSV, frozen from the one-generator
+# stream (per-state binomial draws for discrete laws); every f_hat
+# column lies inside a delta = 1e-6 DKW band around the exact
+# finite-n cdf.
+SPECTRUM_DEFAULT_SHA256 = "ed4f171a5096cb0f0040b950ed36c4b61f13f30104f446f28157bab99a0232c2"
+SPECTRUM_BEC_SHA256 = "750c6be7c2e1a209fa7d07239feceda2baec08a94827099d56f2ae8afa4151a3"
 
 
 def test_spectrum_csv_bytes_frozen(tmp_path, capsys):

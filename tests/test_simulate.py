@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
 from chancap import (
     ERASURE,
@@ -9,11 +14,13 @@ from chancap import (
     DiscreteComposite,
     GilbertElliott,
     SimResult,
+    bsc_capacity,
     ml_decode,
     simulate_outage_code,
     simulate_outage_code_sweep,
     simulate_uncoded_bec,
 )
+from chancap.simulate import _distances, _draw_codebooks, _pack_bits
 
 NOISELESS = DiscreteComposite((BscState(0.0),), [1.0])
 GE_FROZEN = GilbertElliott(0.05, 0.3, g=0.0, b=0.0, pi_good=0.5)
@@ -126,6 +133,57 @@ def test_codebook_draw_guard():
     simulate_outage_code(NOISELESS, n=8, rate=1.25, q=0.1, trials=2000, seed=0)
 
 
+def _unpack_words(words, n):
+    """(..., ceil(n/64)) uint64 words -> (..., n) int8 bits, and the bits above n."""
+    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, bitorder="little")
+    return bits[..., :n].astype(np.int8), bits[..., n:]
+
+
+def _int8_distances(books, sent, noise):
+    """The one-int8-per-bit decoder distances the packed words replaced."""
+    y = books[np.arange(books.shape[0]), sent] ^ noise
+    return (books ^ y[:, None, :]).sum(axis=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 200) | st.sampled_from([63, 64, 65, 128]),
+    size=st.integers(1, 6),
+    m=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_distances_match_int8_oracle(n, size, m, seed):
+    rng = np.random.default_rng(seed)
+    books = _draw_codebooks(rng, size, m, n)
+    assert books.shape == (size, m, math.ceil(n / 64)) and books.dtype == np.uint64
+    bits, above = _unpack_words(books, n)
+    assert not above.any()
+    sent = rng.integers(0, m, size=size)
+    noise = rng.random((size, n)) < rng.random((size, 1))
+    packed_noise = _pack_bits(noise)
+    assert np.array_equal(_unpack_words(packed_noise, n)[0], noise)
+    y = books[np.arange(size), sent] ^ packed_noise
+    assert np.array_equal(_distances(books, y), _int8_distances(bits, sent, noise.astype(np.int8)))
+
+
+def test_simulate_blocklength_above_64():
+    # Two words per codeword.  Noiseless: every trial decodes.
+    res = simulate_outage_code(NOISELESS, n=100, rate=0.05, q=0.1, trials=2000, seed=0)
+    assert res.outage_rate == 0.0 and res.error_rate_given_no_outage == 0.0
+    # BSC(0.1): the sent codeword passes at d <= 10 of all 100 bits (10 of
+    # only the first 64 would make outages about 8 times rarer), and a
+    # uniform wrong codeword passes with probability P(Bin(100, 1/2) <= 10).
+    p, n, trials, delta = 0.1, 100, 4000, 1e-6
+    bsc = DiscreteComposite((BscState(p),), [1.0])
+    res = simulate_outage_code(bsc, n=n, rate=0.05, q=0.1, trials=trials, seed=0)
+    d = np.arange(n + 1)
+    dens = 1.0 + (d / n) * np.log2(p) + (1.0 - d / n) * np.log2(1.0 - p)
+    passing = d[dens >= bsc_capacity(p) - 0.01].max()
+    assert passing == 10
+    p_out = binom.sf(passing, n, p) * binom.sf(passing, n, 0.5) ** 31
+    assert abs(res.outage_rate - p_out) <= math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
+
+
 def test_uncoded_bec_approaches_mean_rate():
     bec = DiscreteComposite((BecState(0.1), BecState(0.3)), [0.5, 0.5])
     res = simulate_uncoded_bec(bec, n=2000, trials=500, seed=4)
@@ -136,6 +194,22 @@ def test_uncoded_bec_approaches_mean_rate():
     assert res.per_state_rates[1] == pytest.approx(0.7, abs=0.01)
     again = simulate_uncoded_bec(bec, n=2000, trials=500, seed=4)
     assert res == again
+
+
+def test_uncoded_bec_per_state_hoeffding():
+    # Each per-state rate averages k_s * n independent unerased bits, and
+    # k_s is Binomial(trials, w_s): Hoeffding on both, delta = 1e-6 each.
+    alphas, pmf = [0.1, 0.3, 0.6], [0.2, 0.5, 0.3]
+    n, trials, log_term = 1000, 5000, math.log(2.0 / 1e-6)
+    bec = DiscreteComposite(tuple(BecState(a) for a in alphas), pmf)
+    res = simulate_uncoded_bec(bec, n=n, trials=trials, seed=0)
+    assert sorted(res.per_state_rates) == [0, 1, 2]
+    for s, (alpha, w) in enumerate(zip(alphas, pmf)):
+        k_min = trials * w - math.sqrt(trials * log_term / 2.0)
+        band = math.sqrt(log_term / (2.0 * k_min * n))
+        assert abs(res.per_state_rates[s] - (1.0 - alpha)) <= band
+    mean = 1.0 - float(np.dot(pmf, alphas))
+    assert abs(res.expected_rate - mean) <= math.sqrt(log_term / (2.0 * trials))
 
 
 def test_uncoded_bec_fully_erased():

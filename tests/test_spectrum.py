@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from chancap import (
     BecState,
@@ -18,8 +19,6 @@ from chancap import (
     info_density_bec,
     info_density_bsc,
 )
-from chancap.channels import sample_state_indices
-from chancap.spectrum import _shard_sizes
 
 
 def test_info_density_bsc_values():
@@ -185,35 +184,26 @@ def test_estimate_spectrum_huge_blocklength():
     assert np.allclose(cdf.values[cdf.state_ids == 0], bsc_capacity(0.05), atol=1e-5)
 
 
-def _argsort_spectrum(composite, n, trials, seed, shards=16):
-    """estimate_spectrum as it was before draws were counted per cell:
-    evaluate every draw, then stably argsort the pooled values."""
+def _per_draw_spectrum(composite, n, trials, seed):
+    """estimate_spectrum's random stream replayed draw by draw: every draw
+    is evaluated with info_density_bsc/info_density_bec, and the pooled
+    values are stably sorted (so tied draws stay in state order)."""
     if isinstance(composite, GilbertElliott):
         composite = composite.as_composite()
-    shards = max(1, min(shards, trials))
-    seqs = np.random.SeedSequence(seed).spawn(shards)
-    vals = []
-    ids = []
-    for size, seq in zip(_shard_sizes(trials, shards), seqs):
-        rng = np.random.default_rng(seq)
-        if isinstance(composite, DiscreteComposite):
-            idx = sample_state_indices(composite, rng, size)
-            params = composite.params[idx]
-        else:
-            params = composite.sample(rng, size)
-            idx = np.full(size, -1)
-        counts = rng.binomial(n, params)
-        if isinstance(composite, DiscreteComposite) and composite.family == "bec":
-            v = (n - counts.astype(float)) / n
-        else:
-            frac = counts.astype(float) / n
-            pc = np.clip(params, 1e-300, 1.0 - 1e-16)
-            v = 1.0 + frac * np.log2(pc) + (1.0 - frac) * np.log2(1.0 - pc)
-            v[(params == 0.0) | (params == 1.0)] = 1.0
-        vals.append(v)
-        ids.append(idx)
-    values = np.concatenate(vals)
-    state_ids = np.concatenate(ids)
+    rng = np.random.default_rng(seed)
+    if isinstance(composite, ContinuousBscComposite):
+        p = composite.sample(rng, trials)
+        counts = rng.binomial(n, p)
+        values = np.array([info_density_bsc(int(d), n, float(pd)) for d, pd in zip(counts, p)])
+        return np.sort(values, kind="stable"), np.full(trials, -1)
+    density = info_density_bec if composite.family == "bec" else info_density_bsc
+    support = np.flatnonzero(composite.pmf > 0.0)
+    vals, ids = [], []
+    for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
+        counts = rng.binomial(n, composite.params[state], size=size)
+        vals.extend(density(int(c), n, float(composite.params[state])) for c in counts)
+        ids.extend([state] * size)
+    values, state_ids = np.array(vals, dtype=float), np.array(ids, dtype=int)
     order = np.argsort(values, kind="stable")
     return values[order], state_ids[order]
 
@@ -255,24 +245,53 @@ def _spectrum_composites(draw):
     trials=st.integers(1, 60),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_estimate_spectrum_matches_argsort_oracle(comp, n, trials, seed):
+def test_estimate_spectrum_matches_per_draw_oracle(comp, n, trials, seed):
     got = estimate_spectrum(comp, n=n, trials=trials, seed=seed)
-    values, state_ids = _argsort_spectrum(comp, n, trials, seed)
+    values, state_ids = _per_draw_spectrum(comp, n, trials, seed)
     assert got.values.tobytes() == values.tobytes()
-    # Within each run of tied values: the same states, in increasing order.
-    runs = np.flatnonzero(np.diff(values)) + 1
-    for mine, theirs in zip(np.split(got.state_ids, runs), np.split(state_ids, runs)):
-        assert np.array_equal(np.sort(mine), np.sort(theirs))
-        assert np.all(np.diff(mine) >= 0)
+    assert np.array_equal(got.state_ids, state_ids)
 
 
-def test_estimate_spectrum_key_overflow_matches_oracle():
-    # At n near 2^63 the packed (state, count) key would overflow int64.
+def test_estimate_spectrum_huge_n_matches_oracle():
+    # Counts near 2^62 are taken per state, with no packed cell key.
     comp = DiscreteComposite((BscState(0.0), BscState(0.3), BscState(0.5), BscState(0.3)),
                              [0.1, 0.4, 0.2, 0.3])
     n = 2**62
     got = estimate_spectrum(comp, n=n, trials=3000, seed=5)
-    values, state_ids = _argsort_spectrum(comp, n, 3000, 5)
+    values, state_ids = _per_draw_spectrum(comp, n, 3000, 5)
     assert got.values.tobytes() == values.tobytes()
-    order = np.lexsort((state_ids, values))
-    assert np.array_equal(got.state_ids, state_ids[order])
+    assert np.array_equal(got.state_ids, state_ids)
+
+
+def _exact_atoms(composite, n):
+    """Distinct values of the finite-n information density and their masses."""
+    density = info_density_bec if composite.family == "bec" else info_density_bsc
+    counts = np.arange(n + 1)
+    vals = np.concatenate([density(counts, n, float(p)) for p in composite.params])
+    mass = np.concatenate([w * binom.pmf(counts, n, p) for p, w in zip(composite.params, composite.pmf)])
+    atoms, inv = np.unique(vals, return_inverse=True)
+    return atoms, np.bincount(inv, weights=mass)
+
+
+@pytest.mark.parametrize(
+    "composite",
+    [
+        DiscreteComposite((BscState(0.05), BscState(0.2), BscState(0.35)), [0.2, 0.5, 0.3]),
+        DiscreteComposite((BecState(0.1), BecState(0.3)), [0.4, 0.6]),
+    ],
+    ids=["bsc3", "bec2"],
+)
+def test_estimate_spectrum_within_dkw_band_of_exact_law(composite):
+    # The draws lie on the exact atoms, and the empirical cdf is within
+    # the DKW-Massart band (delta = 1e-6) of the binomial-mixture cdf on
+    # both sides of every atom, which bounds the sup over all alpha.
+    n, trials = 300, 20000
+    cdf = estimate_spectrum(composite, n=n, trials=trials, seed=8)
+    atoms, mass = _exact_atoms(composite, n)
+    assert np.all(np.isin(cdf.values, atoms))
+    right = np.cumsum(mass)
+    left = right - mass
+    f_right = np.searchsorted(cdf.values, atoms, side="right") / trials
+    f_left = np.searchsorted(cdf.values, atoms, side="left") / trials
+    eps = np.sqrt(np.log(2.0 / 1e-6) / (2.0 * trials))
+    assert max(np.abs(f_right - right).max(), np.abs(f_left - left).max()) <= eps
