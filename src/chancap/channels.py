@@ -8,12 +8,12 @@ rates are in bits per channel use; logarithms are base 2 throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
-LN2 = np.log(2.0)
+LN2 = math.log(2.0)
 
 # Erasure symbol for BEC outputs (binary symbols are 0/1).
 ERASURE = 2
@@ -33,15 +33,28 @@ def _rng(seed):
 def binary_entropy(p):
     """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0.
 
-    Accepts scalars or arrays; raises ValueError outside [0, 1].
+    Accepts scalars or arrays; raises ValueError outside [0, 1].  A
+    scalar is computed with math.log and returned as a float.
     """
+    if np.ndim(p) == 0:
+        x = float(p)
+        if x < 0.0 or x > 1.0:
+            raise ValueError("binary_entropy: argument must lie in [0, 1]")
+        y = 1.0 - x
+        x_log_x = 0.0 if x == 0.0 else x * math.log(x)
+        y_log_y = 0.0 if y == 0.0 else y * math.log(y)
+        return -(x_log_x + y_log_y) / LN2
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if (arr < 0.0).any() or (arr > 1.0).any():
         raise ValueError("binary_entropy: argument must lie in [0, 1]")
-    h = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / LN2
-    if np.isscalar(p) or arr.ndim == 0:
-        return float(h)
-    return h
+    return _entropy_bits(arr)
+
+
+def _entropy_bits(x: np.ndarray) -> np.ndarray:
+    """h(x) for a float array already known to lie in [0, 1] (NaN
+    stays NaN): log is taken at 1 in place of 0, so 0 log 0 = 0."""
+    y = 1.0 - x
+    return -(x * np.log(np.where(x > 0.0, x, 1.0)) + y * np.log(np.where(y > 0.0, y, 1.0))) / LN2
 
 
 def binary_entropy_prime(x):

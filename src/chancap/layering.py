@@ -12,6 +12,7 @@ better than p_l decode everything, states worse than p_u get nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .capacity import best_outage_rate
 from .channels import (
     EPS,
     PointMassDensity,
+    _entropy_bits,
     binary_entropy,
     bsc_capacity,
     star,
@@ -133,21 +135,29 @@ def bergmans_rates(p_states, r) -> np.ndarray:
     `p_states` are the N state crossovers sorted ascending; `r` is the
     full auxiliary chain of length N+1 with r[0] = 0 and r[-1] = 1/2.
     Layer i (1-based) carries R_i = h(r_i * p_i) - h(r_{i-1} * p_i);
-    state i decodes layers i..N.
+    state i decodes layers i..N.  Non-finite entries raise ValueError.
     """
     p = np.asarray(p_states, dtype=float)
     rr = np.asarray(r, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("bergmans_rates: need at least one state")
-    if np.any(p < 0.0) or np.any(p > 0.5) or np.any(np.diff(p) < 0.0):
-        raise ValueError("bergmans_rates: states must be sorted in [0, 1/2]")
+    # Written as "not (in range)" so that NaN fails every check.
+    if not (np.all((p >= 0.0) & (p <= 0.5)) and np.all(np.diff(p) >= 0.0)):
+        raise ValueError("bergmans_rates: states must be sorted in [0, 1/2] and finite")
     if rr.shape != (p.size + 1,):
         raise ValueError("bergmans_rates: r must have length N+1 (including both endpoints)")
-    if abs(rr[0]) > 1e-12 or abs(rr[-1] - 0.5) > 1e-12:
+    if not (abs(rr[0]) <= 1e-12 and abs(rr[-1] - 0.5) <= 1e-12):
         raise ValueError("bergmans_rates: r must start at 0 and end at 1/2")
-    if np.any(np.diff(rr) < -1e-12):
-        raise ValueError("bergmans_rates: r must be nondecreasing")
-    return binary_entropy(star(rr[1:], p)) - binary_entropy(star(rr[:-1], p))
+    if not np.all(np.diff(rr) >= -1e-12):
+        raise ValueError("bergmans_rates: r must be nondecreasing and finite")
+    return _layer_rates(p, rr)
+
+
+def _layer_rates(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """bergmans_rates without the checks, for a chain already known to
+    be valid; r * p is spelled out as star computes it."""
+    upper, lower = r[1:], r[:-1]
+    return _entropy_bits(upper + p - 2.0 * upper * p) - _entropy_bits(lower + p - 2.0 * lower * p)
 
 
 def discrete_expected_rate(weights, p_states, r) -> float:
@@ -178,25 +188,43 @@ def _two_state_argmax(a: float, p: float, b: float, q: float) -> float:
 
         r* = 0    if s(0) <= 0   (s is taken at _R_MIN in place of 0)
         r* = 1/2  if a (1-2p)^2 >= b (1-2q)^2   (the limit of f at 1/2)
-        else the unique sign change of s, found by bisection to the
-             last float.
+        else the unique sign change of s in (0, 1/2).
+
+    The sign change is found by safeguarded Newton on s in Python
+    floats.  [lo, hi] always brackets it (s(lo) > 0 >= s(hi)), with
+    s'(r) = -a (1-2p)^2 / (x_p (1-x_p)) + b (1-2q)^2 / (x_q (1-x_q)),
+    x_p = r * p.  A Newton step that leaves the bracket is replaced by
+    a bisection step.  The solve stops when a Newton step no longer
+    moves r, or when lo and hi are adjacent floats.
     """
+    up, uq = 1.0 - 2.0 * p, 1.0 - 2.0 * q
+    ap, bq = a * up, b * uq
+
     def s(r: float) -> float:
-        return a * (1.0 - 2.0 * p) * _log_odds(r, p) - b * (1.0 - 2.0 * q) * _log_odds(r, q)
+        t = 1.0 - 2.0 * r
+        return (ap * math.log1p(t * up / (r + p - 2.0 * r * p))
+                - bq * math.log1p(t * uq / (r + q - 2.0 * r * q)))
 
     if s(_R_MIN) <= 0.0:
         return 0.0
-    if a * (1.0 - 2.0 * p) ** 2 >= b * (1.0 - 2.0 * q) ** 2:
+    if a * up ** 2 >= b * uq ** 2:
         return 0.5
-    lo, hi = _R_MIN, 0.5
+    lo, hi, r = _R_MIN, 0.5, 0.25
     while True:
+        val = s(r)
+        if val > 0.0:
+            lo = r
+        else:
+            hi = r
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            return mid
-        if s(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+            return r
+        x_p, x_q = r + p - 2.0 * r * p, r + q - 2.0 * r * q
+        slope = bq * uq / (x_q * (1.0 - x_q)) - ap * up / (x_p * (1.0 - x_p))
+        step = r - val / slope if slope != 0.0 else mid
+        if step == r:
+            return r
+        r = step if lo < step < hi else mid
 
 
 def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
@@ -230,10 +258,11 @@ def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
     w = np.asarray(weights, dtype=float)
     if w.shape != p.shape:
         raise ValueError("optimize_discrete: weights and states must match")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("optimize_discrete: weights must be a pmf")
-    if p.ndim != 1 or p.size < 1 or np.any(p < 0.0) or np.any(p > 0.5) or np.any(np.diff(p) < 0.0):
-        raise ValueError("optimize_discrete: states must be sorted in [0, 1/2]")
+    # Written as "not (in range)" so that NaN and inf fail every check.
+    if not ((w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-9):
+        raise ValueError("optimize_discrete: weights must be a pmf with finite entries")
+    if not (p.ndim == 1 and p.size >= 1 and ((p >= 0.0) & (p <= 0.5)).all() and (p[1:] >= p[:-1]).all()):
+        raise ValueError("optimize_discrete: states must be sorted in [0, 1/2] and finite")
     cum_w = np.cumsum(w)
     cw, ps = cum_w.tolist(), p.tolist()
 
@@ -261,7 +290,7 @@ def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
     if not np.all(prefix_ok & suffix_ok):
         raise SolverError("optimize_discrete: pooled chain fails the first-order conditions")
     chain = np.concatenate([[0.0], v, [0.5]])
-    return chain, discrete_expected_rate(w, p, chain)
+    return chain, float(np.dot(cum_w, _layer_rates(p, chain)))
 
 
 def discretize_density(density, n_states: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,8 +390,9 @@ def find_cutoffs(density, scan_points: int = 4096) -> CutoffPair:
     """
     if isinstance(density, PointMassDensity):
         return CutoffPair(density.p0, density.p0)
-    # Imported here: scipy.optimize adds about 24 MB of resident memory,
-    # and only the continuous solvers use it.
+    # Imported here: scipy.optimize adds about 48 MB of resident memory
+    # and 0.5 s to a process that has imported chancap, and only the
+    # continuous solvers use it.
     from scipy.optimize import brentq
 
     p_min = max(float(density.grid[0]), 1e-9)

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import xlogy
+
+import chancap
 
 from chancap import (
     ERASURE,
@@ -45,6 +54,47 @@ def test_binary_entropy_domain():
         binary_entropy(-0.01)
     with pytest.raises(ValueError):
         binary_entropy(1.01)
+    with pytest.raises(ValueError, match="binary_entropy: argument must lie in"):
+        binary_entropy(np.array([0.2, 1.5]))
+    with pytest.raises(ValueError, match="binary_entropy: argument must lie in"):
+        binary_entropy(np.float64(-1e-300))
+
+
+def _xlogy_entropy(p):
+    """The former scipy formula, kept as an oracle."""
+    arr = np.asarray(p, dtype=float)
+    return -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / np.log(2.0)
+
+
+_unit_floats = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0 - 2.0**-53]),
+    st.floats(0.0, 1e-300),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 40), elements=_unit_floats))
+def test_binary_entropy_matches_xlogy_oracle(x):
+    want = _xlogy_entropy(x)
+    assert np.max(np.abs(binary_entropy(x) - want)) <= 1e-15
+    for v, w in zip(x.tolist(), want.tolist()):
+        assert abs(binary_entropy(v) - w) <= 1e-15
+
+
+def test_binary_entropy_scalar_returns_float():
+    for v in (0.3, np.float64(0.3), np.array(0.3), 0, 1):
+        assert type(binary_entropy(v)) is float
+    assert binary_entropy(np.array(0.3)) == binary_entropy(0.3)
+    assert isinstance(binary_entropy([0.3]), np.ndarray)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(chancap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, chancap; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_entropy_prime():

@@ -372,6 +372,77 @@ def test_discrete_expected_rate_matches_single_layer_objective():
         assert got == pytest.approx(want, abs=1e-14)
 
 
+def test_bergmans_rates_rejects_non_finite():
+    with pytest.raises(ValueError, match="bergmans_rates: r must be nondecreasing"):
+        bergmans_rates([0.1, 0.2], [0.0, math.nan, 0.5])
+    with pytest.raises(ValueError, match="bergmans_rates: states must be sorted"):
+        bergmans_rates([0.1, math.nan], [0.0, 0.1, 0.5])
+    with pytest.raises(ValueError, match="bergmans_rates: r must start at 0"):
+        bergmans_rates([0.1, 0.2], [0.0, 0.1, math.inf])
+
+
+def test_optimize_discrete_rejects_non_finite():
+    with pytest.raises(ValueError, match="optimize_discrete: weights must be a pmf"):
+        optimize_discrete([0.5, math.nan], [0.1, 0.2])
+    with pytest.raises(ValueError, match="optimize_discrete: weights must be a pmf"):
+        optimize_discrete([math.inf, 0.5], [0.1, 0.2])
+    with pytest.raises(ValueError, match="optimize_discrete: states must be sorted"):
+        optimize_discrete([0.5, 0.5], [0.1, math.nan])
+    with pytest.raises(ValueError, match="optimize_discrete: states must be sorted"):
+        optimize_discrete([0.5, 0.5], [-math.inf, 0.2])
+
+
+def _bisection_two_state_argmax(a, p, b, q):
+    """The two-state solve the Newton iteration replaced: the same case
+    rule, then bisection on numpy scalars to the last float."""
+    def s(r):
+        return a * (1.0 - 2.0 * p) * layering._log_odds(r, p) - b * (1.0 - 2.0 * q) * layering._log_odds(r, q)
+
+    if s(layering._R_MIN) <= 0.0:
+        return 0.0
+    if a * (1.0 - 2.0 * p) ** 2 >= b * (1.0 - 2.0 * q) ** 2:
+        return 0.5
+    lo, hi = layering._R_MIN, 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if s(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@st.composite
+def _two_state_problems(draw):
+    """(a, p, b, q) with 0 <= a <= b and p <= q, including p = 0,
+    q = 1/2, p = q, a = 0, a = b and tiny a."""
+    p = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    q = draw(st.one_of(st.just(0.5), st.just(p), st.floats(p, 0.5)))
+    b = draw(st.floats(1e-6, 1.0))
+    ratio = draw(st.one_of(
+        st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-3),
+    ))
+    return ratio * b, p, b, q
+
+
+def _two_state_objective(a, p, b, q, r):
+    return a * binary_entropy(r + p - 2.0 * r * p) - b * binary_entropy(r + q - 2.0 * r * q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_two_state_problems())
+def test_two_state_argmax_matches_bisection_oracle(problem):
+    got = layering._two_state_argmax(*problem)
+    want = _bisection_two_state_argmax(*problem)
+    assert type(got) is float
+    branch = {0.0: "zero", 0.5: "half"}
+    assert branch.get(got, "interior") == branch.get(float(want), "interior")
+    if 0.0 < got < 0.5:
+        assert abs(got - want) <= 1e-9 * want
+        assert _two_state_objective(*problem, got) >= _two_state_objective(*problem, want) - 1e-15
+
+
 def test_optimize_discrete_single_state():
     chain, value = optimize_discrete([1.0], [0.2])
     assert np.array_equal(chain, [0.0, 0.5])
@@ -467,6 +538,7 @@ def _ascent_oracle(weights, p_states):
 
 def _check_layered_optimum(w, p, oracle=True):
     chain, value = optimize_discrete(w, p)
+    assert abs(value - discrete_expected_rate(w, p, chain)) <= 1e-15
     assert chain[0] == 0.0 and chain[-1] == 0.5 and np.all(np.diff(chain) >= 0.0)
     composite = DiscreteComposite(tuple(BscState(x) for x in p), w)
     assert best_outage_rate(composite)[1] - 1e-12 <= value <= mean_state_capacity(composite) + 1e-12
@@ -524,6 +596,13 @@ def test_discretize_density():
     assert np.array_equal(w, [0.25, 0.25, 0.25, 0.25])
     with pytest.raises(ValueError):
         discretize_density(UNIFORM, 0)
+
+
+@pytest.mark.parametrize("n_states", [64, 1024])
+def test_optimize_discrete_rate_matches_bergmans_evaluation(n_states):
+    w, p = discretize_density(UNIFORM, n_states)
+    chain, value = optimize_discrete(w, p)
+    assert abs(value - discrete_expected_rate(w, p, chain)) <= 1e-15
 
 
 def test_discrete_ladder_approaches_continuous():
