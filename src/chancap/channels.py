@@ -34,15 +34,17 @@ def binary_entropy(p):
     """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0.
 
     Accepts scalars or arrays; raises ValueError outside [0, 1].  A
-    scalar is computed with math.log and returned as a float.
+    scalar is returned as a float.  Both paths take numpy's log (libm's
+    can differ from it in the last bit), so a value gives the same bits
+    alone or in an array.
     """
     if np.ndim(p) == 0:
         x = float(p)
         if x < 0.0 or x > 1.0:
             raise ValueError("binary_entropy: argument must lie in [0, 1]")
         y = 1.0 - x
-        x_log_x = 0.0 if x == 0.0 else x * math.log(x)
-        y_log_y = 0.0 if y == 0.0 else y * math.log(y)
+        x_log_x = 0.0 if x == 0.0 else x * float(np.log(x))
+        y_log_y = 0.0 if y == 0.0 else y * float(np.log(y))
         return -(x_log_x + y_log_y) / LN2
     arr = np.asarray(p, dtype=float)
     if (arr < 0.0).any() or (arr > 1.0).any():
@@ -70,7 +72,8 @@ def star(a, b):
     """Crossover probability of two cascaded BSCs: a*b = a(1-b) + (1-a)b."""
     aa = np.asarray(a, dtype=float)
     bb = np.asarray(b, dtype=float)
-    if np.any(aa < 0.0) or np.any(aa > 1.0) or np.any(bb < 0.0) or np.any(bb > 1.0):
+    # Written as "not (in range)" so that NaN fails the check.
+    if not (np.all((aa >= 0.0) & (aa <= 1.0)) and np.all((bb >= 0.0) & (bb <= 1.0))):
         raise ValueError("star: arguments must lie in [0, 1]")
     out = aa + bb - 2.0 * aa * bb
     if np.isscalar(a) and np.isscalar(b):

@@ -164,10 +164,14 @@ def discrete_expected_rate(weights, p_states, r) -> float:
     """Expected rate sum_i w_i R(p_i) with R(p_i) = sum_{j >= i} R_j.
 
     Rearranged as sum_j W_j R_j with W_j the cdf of the weights, which
-    is the form the optimizer differentiates.
+    is the form the optimizer differentiates.  The weights must be a
+    pmf over the states.
     """
     w = np.asarray(weights, dtype=float)
     rates = bergmans_rates(p_states, r)
+    # Written as "not (in range)" so that NaN and inf fail the check.
+    if not (w.shape == rates.shape and (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-9):
+        raise ValueError("discrete_expected_rate: weights must be a pmf over the states with finite entries")
     return float(np.dot(np.cumsum(w), rates))
 
 
@@ -194,8 +198,13 @@ def _two_state_argmax(a: float, p: float, b: float, q: float) -> float:
     floats.  [lo, hi] always brackets it (s(lo) > 0 >= s(hi)), with
     s'(r) = -a (1-2p)^2 / (x_p (1-x_p)) + b (1-2q)^2 / (x_q (1-x_q)),
     x_p = r * p.  A Newton step that leaves the bracket is replaced by
-    a bisection step.  The solve stops when a Newton step no longer
-    moves r, or when lo and hi are adjacent floats.
+    a bisection step.  While hi > 4 lo, the bisection halves log r, and
+    a Newton step in log r is tried too (first when s(r) > 0): with
+    p = 0 and a small a the root can lie far below 1 (3.9e-121 at
+    a = 0.003, b = 1, q = 0.2), where s is nearly linear in log r and
+    halving r from 1/2 would take hundreds of steps to reach its scale.
+    The solve stops when a Newton step no longer moves r, or when lo and
+    hi are adjacent floats.
     """
     up, uq = 1.0 - 2.0 * p, 1.0 - 2.0 * q
     ap, bq = a * up, b * uq
@@ -216,12 +225,21 @@ def _two_state_argmax(a: float, p: float, b: float, q: float) -> float:
             lo = r
         else:
             hi = r
-        mid = 0.5 * (lo + hi)
+        wide = hi > 4.0 * lo
+        mid = math.sqrt(lo) * math.sqrt(hi) if wide else 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return r
         x_p, x_q = r + p - 2.0 * r * p, r + q - 2.0 * r * q
         slope = bq * uq / (x_q * (1.0 - x_q)) - ap * up / (x_p * (1.0 - x_p))
         step = r - val / slope if slope != 0.0 else mid
+        # In a wide bracket, left of the root a step in r only creeps up
+        # a log-like s, so the step in log r goes first there; right of
+        # the root it is the fallback.
+        if wide and (val > 0.0 or not lo < step < hi):
+            log_slope = r * slope
+            log_step = r * math.exp(max(-700.0, min(700.0, -val / log_slope))) if log_slope != 0.0 else mid
+            if lo < log_step < hi or log_step == r:
+                step = log_step
         if step == r:
             return r
         r = step if lo < step < hi else mid

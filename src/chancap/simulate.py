@@ -45,6 +45,9 @@ from .channels import (
 _MAX_NR = 20.0
 _MAX_DRAW = 2**26
 
+# Largest number of channel uses in one binomial draw.
+_INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -269,6 +272,18 @@ def simulate_outage_code(
     )[0]
 
 
+def _erasure_total(rng, n: int, k: int, alpha: float) -> int:
+    """Erasures in k blocks of n uses of BEC(alpha): one
+    Binomial(n k, alpha) draw, or several of at most _INT64_MAX uses
+    each when n k does not fit in int64."""
+    per_draw = _INT64_MAX // n  # blocks per draw
+    if k <= per_draw:
+        return int(rng.binomial(n * k, alpha))
+    full, rest = divmod(k, per_draw)
+    total = sum(rng.binomial(n * per_draw, alpha, size=full).tolist())
+    return total + int(rng.binomial(n * rest, alpha)) if rest else total
+
+
 def simulate_uncoded_bec(composite: DiscreteComposite, n: int, trials: int, seed: int = 0) -> SimResult:
     """Transmit information bits uncoded over a composite BEC.
 
@@ -278,13 +293,17 @@ def simulate_uncoded_bec(composite: DiscreteComposite, n: int, trials: int, seed
     No outages and no errors occur: erasure locations are known.
 
     Trials are split over the states by one Multinomial(trials, pmf)
-    draw, and each state's erasure counts come from one scalar-alpha
-    binomial call.
+    draw.  Only each state's total of erasures is used, and the total
+    over k blocks is one Binomial(n k, alpha) draw (split into draws of
+    at most 2^63 - 1 uses when n k is larger).
     """
     if not (isinstance(composite, DiscreteComposite) and composite.family == "bec"):
         raise ValueError("simulate_uncoded_bec: needs a discrete BEC composite")
     if n < 1 or trials < 1:
         raise ValueError("simulate_uncoded_bec: n and trials must be >= 1")
+    if n > _INT64_MAX:
+        raise ValueError("simulate_uncoded_bec: n must fit in int64")
+    n = int(n)  # a numpy integer would wrap in n * k
 
     rng = np.random.default_rng(seed)
     support = np.flatnonzero(composite.pmf > 0.0)
@@ -292,10 +311,10 @@ def simulate_uncoded_bec(composite: DiscreteComposite, n: int, trials: int, seed
     per_state = {}
     for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
         if size > 0:
-            erased = rng.binomial(n, composite.params[state], size=size)
-            state_sum = float(((n - erased.astype(float)) / n).sum())
+            k = int(size)
+            state_sum = (n * k - _erasure_total(rng, n, k, float(composite.params[state]))) / n
             rate_sum += state_sum
-            per_state[int(state)] = state_sum / int(size)
+            per_state[int(state)] = state_sum / k
     return SimResult(
         trials=trials,
         blocklength=n,

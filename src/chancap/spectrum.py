@@ -11,6 +11,7 @@ information spectrum F(alpha).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,71 @@ def _bsc_density(counts: np.ndarray, n: int, params: np.ndarray) -> np.ndarray:
     return v
 
 
+# Loader's saddle-point form of the binomial pmf ("Fast and accurate
+# computation of binomial probabilities", 2000): stirlerr(k) =
+# ln k! - ln(sqrt(2 pi k) (k/e)^k), tabulated below 16 and a Stirling
+# series above, and bd0(x, m) = x ln(x/m) + m - x.
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+_STIRLERR_TABLE = np.array(
+    [0.0] + [math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _HALF_LN_2PI for k in range(1, 16)]
+)
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    kk = k * k
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+    return np.where(k < 16, _STIRLERR_TABLE[np.minimum(k, 15).astype(int)], series)
+
+
+def _bd0(x: np.ndarray, m: float) -> np.ndarray:
+    """x ln(x/m) + m - x, as x log1p((x-m)/m) - (x-m) for accuracy near x = m."""
+    d = x - m
+    with np.errstate(over="ignore"):
+        return x * np.log1p(d / m) - d
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) pmf at 0..n for 0 < p < 1.
+
+    Each probability above 1e-300 is within about 1e-11 of its value,
+    relative, up to n = 10^6 and far into both tails; smaller ones may
+    underflow to 0.
+    """
+    log_pmf = np.empty(n + 1)
+    log_pmf[0] = n * math.log1p(-p)
+    log_pmf[n] = n * math.log(p)
+    k = np.arange(1.0, n)
+    rest = k[::-1]  # n - k
+    st = _stirlerr(k)
+    log_pmf[1:n] = (
+        _stirlerr(np.array(float(n))) - st - st[::-1]
+        - _bd0(k, n * p) - _bd0(rest, n * (1.0 - p))
+        + 0.5 * np.log(n / (k * rest)) - _HALF_LN_2PI
+    )
+    return np.exp(log_pmf)
+
+
+def _count_histogram(rng, n: int, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied counts and their multiplicities among k Binomial(n, p) draws.
+
+    With n + 1 <= k and 0 < p < 1 the histogram is drawn directly as one
+    Multinomial(k, pmf) vector.  numpy draws the categories in order,
+    each as a binomial with its probability over the mass not yet
+    drawn, which it tracks by subtraction.  Ordering the categories from
+    both tails toward the mode keeps that mass at least the mode's, so
+    its rounding error never dominates a tail's remaining mass.
+    Otherwise the k counts are drawn one by one.
+    """
+    if n + 1 > k or not 0.0 < p < 1.0:
+        return np.unique(rng.binomial(n, p, size=k), return_counts=True)
+    pmf = _binomial_pmf(n, p)
+    mode = int(np.argmax(pmf))
+    order = np.concatenate([np.arange(mode), np.arange(n, mode - 1, -1)])
+    hist = rng.multinomial(k, pmf[order])
+    hit = np.flatnonzero(hist)
+    return order[hit], hist[hit]
+
+
 def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     """Monte Carlo estimate of the information spectrum at blocklength n.
 
@@ -159,12 +225,14 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
 
     For a discrete law the per-state trial counts are drawn first, as
     one Multinomial(trials, pmf) vector over the states of positive
-    mass, and then each state's counts with one scalar-p binomial call:
-    the same law as drawing the pairs one by one, since the result is
-    sorted.  A draw's value depends only on its (state, count) cell, so
-    the density is evaluated once per occupied cell and the sorted
-    cells are expanded by their multiplicities: O(trials) memory for
-    any n.
+    mass.  A draw's value depends only on its (state, count) cell, so
+    only each state's histogram of counts is drawn: one
+    Multinomial(k, Binomial(n, p) pmf) vector when the state's k draws
+    are at least the n + 1 counts and 0 < p < 1, else k scalar-p
+    binomial draws.  Either is the law of drawing the pairs one by one,
+    since the result is sorted.  So a state's draws cost O(min(k, n))
+    for any n.  The density is evaluated once per occupied cell, and the
+    sorted cells are expanded by their multiplicities.
     """
     if n < 1:
         raise ValueError("estimate_spectrum: n must be >= 1")
@@ -189,7 +257,7 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     cells = []
     for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
         if size > 0:
-            count, mult = np.unique(rng.binomial(n, params[state], size=size), return_counts=True)
+            count, mult = _count_histogram(rng, n, float(params[state]), int(size))
             cells.append((np.full(count.size, state), count, mult))
     cell_state, cell_count, mult = (np.concatenate(c) for c in zip(*cells))
     if composite.family == "bec":

@@ -231,11 +231,13 @@ def test_codebook_memory_guard_exits_2(tmp_path, capsys):
 
 
 # sha256 of the `chancap spectrum` CSV, frozen from the one-generator
-# stream (per-state binomial draws for discrete laws); every f_hat
-# column lies inside a delta = 1e-6 DKW band around the exact
+# stream: per-draw crossovers for the default uniform law, and for the
+# discrete BEC law one multinomial histogram of counts per state with
+# at least n + 1 draws (direct binomial draws for the others).  Every
+# f_hat column lies inside a delta = 1e-6 DKW band around the exact
 # finite-n cdf.
 SPECTRUM_DEFAULT_SHA256 = "ed4f171a5096cb0f0040b950ed36c4b61f13f30104f446f28157bab99a0232c2"
-SPECTRUM_BEC_SHA256 = "750c6be7c2e1a209fa7d07239feceda2baec08a94827099d56f2ae8afa4151a3"
+SPECTRUM_BEC_SHA256 = "c8a3c2bb0b66a57b7fc70eea6727761ee41bc964062533203d25a4bd64c2898e"
 
 
 def test_spectrum_csv_bytes_frozen(tmp_path, capsys):

@@ -381,6 +381,12 @@ def test_bergmans_rates_rejects_non_finite():
         bergmans_rates([0.1, 0.2], [0.0, 0.1, math.inf])
 
 
+def test_discrete_expected_rate_rejects_bad_weights():
+    for w in ([0.5, math.nan], [math.inf, 0.5], [0.5, 0.6], [1.0]):
+        with pytest.raises(ValueError, match="discrete_expected_rate: weights must be a pmf"):
+            discrete_expected_rate(w, [0.1, 0.2], [0.0, 0.1, 0.5])
+
+
 def test_optimize_discrete_rejects_non_finite():
     with pytest.raises(ValueError, match="optimize_discrete: weights must be a pmf"):
         optimize_discrete([0.5, math.nan], [0.1, 0.2])
@@ -441,6 +447,31 @@ def test_two_state_argmax_matches_bisection_oracle(problem):
     if 0.0 < got < 0.5:
         assert abs(got - want) <= 1e-9 * want
         assert _two_state_objective(*problem, got) >= _two_state_objective(*problem, want) - 1e-15
+
+
+@pytest.mark.parametrize("a", [0.002, 0.003])
+def test_two_state_argmax_tiny_root_is_cheap(monkeypatch, a):
+    # With p = 0 the root lies near 1e-181 (a = 0.002) or 1e-121
+    # (a = 0.003); arithmetic halving from 1/2 took 605 and 405
+    # evaluations of s to reach that scale.  Each evaluation takes two
+    # log1p calls.
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log1p(self, x):
+            calls.append(x)
+            return math.log1p(x)
+
+    monkeypatch.setattr(layering, "math", CountingMath())
+    got = layering._two_state_argmax(a, 0.0, 1.0, 0.2)
+    monkeypatch.undo()
+    assert len(calls) // 2 <= 80
+    want = _bisection_two_state_argmax(a, 0.0, 1.0, 0.2)
+    assert 0.0 < want < 1e-100
+    assert 0.0 < got < 0.5 and abs(got - want) <= 1e-9 * want
 
 
 def test_optimize_discrete_single_state():

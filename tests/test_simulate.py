@@ -212,6 +212,23 @@ def test_uncoded_bec_per_state_hoeffding():
     assert abs(res.expected_rate - mean) <= math.sqrt(log_term / (2.0 * trials))
 
 
+def test_uncoded_bec_beyond_int64_uses():
+    # n k above 2^63: the erasure total is split into binomial draws of
+    # at most 2^63 - 1 uses (two draws of two blocks and one of one
+    # block here), and the rate stays within a Hoeffding band
+    # (delta = 1e-6) over its n k bits.
+    n, trials = 3 * 2**60, 5
+    bec = DiscreteComposite((BecState(0.3),), [1.0])
+    res = simulate_uncoded_bec(bec, n=n, trials=trials, seed=1)
+    assert math.isfinite(res.expected_rate)
+    assert abs(res.expected_rate - 0.7) <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n * trials))
+    assert res.per_state_rates == {0: res.expected_rate}
+    # A numpy integer n must not wrap in n * k.
+    assert simulate_uncoded_bec(bec, n=np.int64(n), trials=trials, seed=1) == res
+    with pytest.raises(ValueError, match="n must fit in int64"):
+        simulate_uncoded_bec(bec, n=2**63, trials=2, seed=1)
+
+
 def test_uncoded_bec_fully_erased():
     res = simulate_uncoded_bec(DiscreteComposite((BecState(1.0),), [1.0]), n=100, trials=50, seed=0)
     assert res.expected_rate == 0.0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from chancap import spectrum
 from chancap import (
     BecState,
     BscState,
@@ -184,10 +185,16 @@ def test_estimate_spectrum_huge_blocklength():
     assert np.allclose(cdf.values[cdf.state_ids == 0], bsc_capacity(0.05), atol=1e-5)
 
 
-def _per_draw_spectrum(composite, n, trials, seed):
+def _per_draw_spectrum(composite, n, trials, seed, histograms=False):
     """estimate_spectrum's random stream replayed draw by draw: every draw
     is evaluated with info_density_bsc/info_density_bec, and the pooled
-    values are stably sorted (so tied draws stay in state order)."""
+    values are stably sorted (so tied draws stay in state order).
+
+    Without `histograms` every state's counts are drawn one by one, which
+    is the stream whenever n + 1 exceeds every state's draw count.  With
+    it, a state with at least n + 1 draws and 0 < p < 1 draws its
+    histogram as one multinomial over the counts taken from both tails
+    toward the mode, and the histogram is expanded into single draws."""
     if isinstance(composite, GilbertElliott):
         composite = composite.as_composite()
     rng = np.random.default_rng(seed)
@@ -200,8 +207,16 @@ def _per_draw_spectrum(composite, n, trials, seed):
     support = np.flatnonzero(composite.pmf > 0.0)
     vals, ids = [], []
     for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
-        counts = rng.binomial(n, composite.params[state], size=size)
-        vals.extend(density(int(c), n, float(composite.params[state])) for c in counts)
+        p = float(composite.params[state])
+        if histograms and size >= n + 1 and 0.0 < p < 1.0:
+            pmf = spectrum._binomial_pmf(n, p)
+            mode = int(np.argmax(pmf))
+            order = list(range(mode)) + list(range(n, mode - 1, -1))
+            hist = rng.multinomial(size, pmf[order])
+            counts = np.repeat(order, hist)
+        else:
+            counts = rng.binomial(n, p, size=size)
+        vals.extend(density(int(c), n, p) for c in counts)
         ids.extend([state] * size)
     values, state_ids = np.array(vals, dtype=float), np.array(ids, dtype=int)
     order = np.argsort(values, kind="stable")
@@ -241,15 +256,52 @@ def _spectrum_composites(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     comp=_spectrum_composites(),
-    n=st.integers(1, 2000),
-    trials=st.integers(1, 60),
+    trials_n=st.integers(1, 60).flatmap(lambda t: st.tuples(st.just(t), st.integers(t, 2000))),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_estimate_spectrum_matches_per_draw_oracle(comp, n, trials, seed):
+def test_estimate_spectrum_direct_branch_matches_per_draw_oracle(comp, trials_n, seed):
+    # n >= trials, so no state has the n + 1 draws the histogram needs.
+    trials, n = trials_n
     got = estimate_spectrum(comp, n=n, trials=trials, seed=seed)
     values, state_ids = _per_draw_spectrum(comp, n, trials, seed)
     assert got.values.tobytes() == values.tobytes()
     assert np.array_equal(got.state_ids, state_ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    comp=_spectrum_composites(),
+    n=st.integers(1, 40),
+    trials=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_spectrum_histogram_branch_matches_replay(comp, n, trials, seed):
+    # Small n against up to 400 trials: both branches, often in one call.
+    got = estimate_spectrum(comp, n=n, trials=trials, seed=seed)
+    values, state_ids = _per_draw_spectrum(comp, n, trials, seed, histograms=True)
+    assert got.values.tobytes() == values.tobytes()
+    assert np.array_equal(got.state_ids, state_ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 40), st.integers(1, 5000)),
+    p=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1e-300, 1e-3),
+        st.floats(1e-3, 1.0, exclude_max=True).map(lambda x: 1.0 - x),
+    ),
+)
+def test_binomial_pmf_matches_scipy(n, p):
+    got = spectrum._binomial_pmf(n, p)
+    if p < 1e-300:
+        # scipy's pmf raises OverflowError here; all mass sits at 0.
+        assert got[0] == 1.0 and np.all(got[1:] <= 1e-290)
+        return
+    want = binom.pmf(np.arange(n + 1), n, p)
+    big = want > 1e-300
+    assert np.all(np.abs(got[big] - want[big]) <= 1e-10 * want[big])
+    assert np.all(got[~big] <= 1e-290)
 
 
 def test_estimate_spectrum_huge_n_matches_oracle():
@@ -273,20 +325,31 @@ def _exact_atoms(composite, n):
     return atoms, np.bincount(inv, weights=mass)
 
 
+_GE_FROZEN = GilbertElliott(0.05, 0.3, g=0.0, b=0.0, pi_good=0.5)
+
+
 @pytest.mark.parametrize(
-    "composite",
+    "composite, n",
     [
-        DiscreteComposite((BscState(0.05), BscState(0.2), BscState(0.35)), [0.2, 0.5, 0.3]),
-        DiscreteComposite((BecState(0.1), BecState(0.3)), [0.4, 0.6]),
+        pytest.param(DiscreteComposite((BscState(0.05), BscState(0.2), BscState(0.35)), [0.2, 0.5, 0.3]),
+                     300, id="bsc3"),
+        pytest.param(DiscreteComposite((BecState(0.1), BecState(0.3)), [0.4, 0.6]), 300, id="bec2"),
+        pytest.param(_GE_FROZEN, 300, id="ge"),
+        pytest.param(_GE_FROZEN, 2000, id="ge-n2000"),
+        pytest.param(DiscreteComposite((BscState(0.02), BscState(0.11), BscState(0.11), BscState(0.4)),
+                                       [0.3, 0.2, 0.1, 0.4]), 1500, id="bsc4-n1500"),
     ],
-    ids=["bsc3", "bec2"],
 )
-def test_estimate_spectrum_within_dkw_band_of_exact_law(composite):
+def test_estimate_spectrum_within_dkw_band_of_exact_law(composite, n):
     # The draws lie on the exact atoms, and the empirical cdf is within
     # the DKW-Massart band (delta = 1e-6) of the binomial-mixture cdf on
     # both sides of every atom, which bounds the sup over all alpha.
-    n, trials = 300, 20000
+    # Each state draws more than n + 1 counts here, so every state's
+    # counts come from the histogram draw.
+    trials = 20000
     cdf = estimate_spectrum(composite, n=n, trials=trials, seed=8)
+    if isinstance(composite, GilbertElliott):
+        composite = composite.as_composite()
     atoms, mass = _exact_atoms(composite, n)
     assert np.all(np.isin(cdf.values, atoms))
     right = np.cumsum(mass)
