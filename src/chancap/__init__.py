@@ -7,15 +7,13 @@ from .channels import (
     ContinuousBscComposite,
     DiscreteComposite,
     GilbertElliott,
-    PointMassDensity,
     binary_entropy,
     binary_entropy_prime,
     bec_capacity,
     bsc_capacity,
-    degraded_order,
     sample_state,
-    sample_state_indices,
     star,
+    state_law,
     transmit,
 )
 from .spectrum import (
@@ -34,6 +32,7 @@ from .capacity import (
     capacity_vs_outage,
     expected_capacity_bounds,
     expected_retransmissions,
+    limit_spectrum_cdf,
     mean_state_capacity,
     outage_curve,
     shannon_capacity,
@@ -48,6 +47,7 @@ from .layering import (
     bergmans_rates,
     discrete_expected_rate,
     discretize_density,
+    expected_capacity,
     euler_lhs,
     euler_residual,
     euler_rhs,

@@ -22,10 +22,10 @@ import numpy as np
 
 from .channels import (
     ContinuousBscComposite,
-    DiscreteComposite,
-    GilbertElliott,
+    _entropy_inverse,
     binary_entropy,
     bsc_capacity,
+    state_law,
 )
 from .spectrum import EmpiricalCdf, cdf_quantile
 
@@ -54,12 +54,6 @@ class CapacityBounds:
             raise ValueError("CapacityBounds: lower bound exceeds upper bound")
 
 
-def _state_capacity(composite: DiscreteComposite, param):
-    if composite.family == "bsc":
-        return bsc_capacity(param)
-    return 1.0 - param
-
-
 def shannon_capacity(composite) -> float:
     """Worst-supported-state capacity (support infimum of the spectrum).
 
@@ -67,47 +61,57 @@ def shannon_capacity(composite) -> float:
     support-set invariance property: equivalent state measures give
     equal Shannon capacity, and shrinking the support can only raise it.
     """
-    if isinstance(composite, GilbertElliott):
-        if composite.is_ergodic:
-            pi_g, pi_b = composite.stationary()
-            return pi_g * bsc_capacity(composite.p_good) + pi_b * bsc_capacity(composite.p_bad)
-        composite = composite.as_composite()
-    if isinstance(composite, DiscreteComposite):
-        sup = composite.support_params()
-        if sup.size == 0:
-            raise ValueError("shannon_capacity: pmf has empty support")
-        return _state_capacity(composite, float(sup.max()))
-    if isinstance(composite, ContinuousBscComposite):
-        return bsc_capacity(composite.support_sup())
-    raise ValueError("shannon_capacity: unsupported composite type")
+    law = state_law(composite)
+    if isinstance(law, ContinuousBscComposite):
+        return bsc_capacity(law.support_sup())
+    caps, weights = _worst_first(law)
+    return float(caps[np.flatnonzero(weights)[0]])
+
+
+def _worst_first(law) -> tuple[np.ndarray, np.ndarray]:
+    """Atom capacities and masses, noisiest state first.
+
+    States sort by crossover or erasure probability: capacities computed
+    in floats can round out of order for parameters an ulp apart.  A law
+    with no frozen state is a single atom.
+    """
+    if law.params is None:
+        return law.caps, law.mass
+    order = np.argsort(-law.params)
+    return law.caps[order], law.mass[order]
 
 
 def _c_q(composite, q: np.ndarray) -> np.ndarray:
     """C_q = sup {alpha : F(alpha) <= q} for every q of an array in [0, 1).
 
-    Discrete composites: states leave worst-first, and an atom joins
-    the outage set only if its entire mass still fits under q
-    (conservative convention for ties at atoms), so the worst kept
-    state is the first one whose cumulative mass exceeds q.  A zero-mass
-    state never is; when every state fits (q within rounding of 1) the
-    best supported state is kept.  Continuous BSC family:
-    C_q = 1 - h(p_q) with p_q = inf {p : F(p) >= 1 - q}.
+    Atoms: states leave worst-first, and an atom joins the outage set
+    only if its entire mass still fits under q (conservative convention
+    for ties at atoms), so the worst kept state is the first one whose
+    cumulative mass exceeds q.  A zero-mass state never is; when every
+    state fits (q within rounding of 1) the best supported state is
+    kept.  Continuous BSC family: C_q = 1 - h(p_q) with
+    p_q = inf {p : F(p) >= 1 - q}.
     """
-    if isinstance(composite, GilbertElliott):
-        if composite.is_ergodic:
-            return np.full(q.shape, shannon_capacity(composite))
-        composite = composite.as_composite()
-    if isinstance(composite, DiscreteComposite):
-        params = composite.params
-        order = np.argsort(-params)  # worst (most noisy) first
-        params, weights = params[order], composite.pmf[order]
-        removed = np.cumsum(weights)
-        idx = np.searchsorted(removed, q + _ATOM_TOL, side="right")
-        idx = np.minimum(idx, np.nonzero(weights)[0][-1])
-        return _state_capacity(composite, params[idx])
-    if isinstance(composite, ContinuousBscComposite):
-        return bsc_capacity(composite.inverse_cdf(1.0 - q))
-    raise ValueError("capacity_vs_outage: unsupported composite type")
+    law = state_law(composite)
+    if isinstance(law, ContinuousBscComposite):
+        return bsc_capacity(law.inverse_cdf(1.0 - q))
+    caps, weights = _worst_first(law)
+    idx = np.searchsorted(np.cumsum(weights), q + _ATOM_TOL, side="right")
+    idx = np.minimum(idx, np.nonzero(weights)[0][-1])
+    return caps[idx]
+
+
+def limit_spectrum_cdf(composite, alphas: np.ndarray) -> np.ndarray:
+    """Large-n information-spectrum cdf F(alpha): the probability that
+    the drawn state's capacity is at most alpha (atoms within 1e-15 of
+    alpha count as at most)."""
+    alphas = np.asarray(alphas, dtype=float)
+    law = state_law(composite)
+    if isinstance(law, ContinuousBscComposite):
+        return 1.0 - law.cdf(_entropy_inverse(np.clip(1.0 - alphas, 0.0, 1.0)))
+    order = np.argsort(law.caps)
+    below = np.concatenate([[0.0], np.cumsum(law.mass[order])])
+    return below[np.searchsorted(law.caps[order], alphas + 1e-15, side="right")]
 
 
 def capacity_vs_outage(composite, q: float) -> float:
@@ -130,27 +134,14 @@ def outage_curve(composite, q_grid) -> OutageCurve:
 def best_outage_rate(composite, grid_points: int = 1024) -> tuple[float, float]:
     """Maximize the outage capacity (1-q) C_q over q in [0, 1).
 
-    Discrete composites: C_q is a right-continuous step function whose
-    pieces start at cumulative pmf atoms, and (1-q) decreases, so the
-    supremum is attained exactly at an atom boundary; those candidates
-    are enumerated directly.  Continuous densities: coarse grid scan
+    Atoms: C_q is a right-continuous step function whose pieces start
+    at cumulative masses, and (1-q) decreases, so the supremum is
+    attained exactly at an atom boundary; those candidates are
+    enumerated directly.  Continuous densities: coarse grid scan
     followed by bounded golden-section refinement (tolerance 1e-6 in q).
     """
-    if isinstance(composite, GilbertElliott):
-        if composite.is_ergodic:
-            return 0.0, shannon_capacity(composite)
-        composite = composite.as_composite()
-    if isinstance(composite, DiscreteComposite):
-        order = np.argsort(-composite.params)
-        masses = np.concatenate([[0.0], np.cumsum(composite.pmf[order])])
-        candidates = masses[masses < 1.0 - _ATOM_TOL]
-        values = (1.0 - candidates) * _c_q(composite, candidates)
-        best_q, best_v = 0.0, -np.inf
-        for qc, v in zip(candidates.tolist(), values.tolist()):
-            if v > best_v + 1e-15:
-                best_q, best_v = qc, v
-        return best_q, best_v
-    if isinstance(composite, ContinuousBscComposite):
+    law = state_law(composite)
+    if isinstance(law, ContinuousBscComposite):
         # Imported here: scipy.optimize adds about 48 MB of resident
         # memory and 0.5 s to a process that has imported chancap, and
         # only the continuous solvers use it.
@@ -169,7 +160,14 @@ def best_outage_rate(composite, grid_points: int = 1024) -> tuple[float, float]:
         )
         q_star = float(res.x)
         return q_star, (1.0 - q_star) * capacity_vs_outage(composite, q_star)
-    raise ValueError("best_outage_rate: unsupported composite type")
+    masses = np.concatenate([[0.0], np.cumsum(_worst_first(law)[1])])
+    candidates = masses[masses < 1.0 - _ATOM_TOL]
+    values = (1.0 - candidates) * _c_q(law, candidates)
+    best_q, best_v = 0.0, -np.inf
+    for qc, v in zip(candidates.tolist(), values.tolist()):
+        if v > best_v + 1e-15:
+            best_q, best_v = qc, v
+    return best_q, best_v
 
 
 def expected_retransmissions(q: float) -> float:
@@ -186,19 +184,11 @@ def capacity_from_spectrum(cdf: EmpiricalCdf, q: float) -> float:
 
 def mean_state_capacity(composite) -> float:
     """E_S[capacity of state S]; the expected-capacity upper bound."""
-    if isinstance(composite, GilbertElliott):
-        pi = composite.stationary() if composite.is_ergodic else (composite.pi_good, composite.pi_bad)
-        return pi[0] * bsc_capacity(composite.p_good) + pi[1] * bsc_capacity(composite.p_bad)
-    if isinstance(composite, DiscreteComposite):
-        if composite.family == "bsc":
-            caps = 1.0 - binary_entropy(composite.params)
-        else:
-            caps = 1.0 - composite.params
-        return float(np.dot(composite.pmf, caps))
-    if isinstance(composite, ContinuousBscComposite):
-        caps = 1.0 - binary_entropy(composite.grid)
-        return float(np.trapezoid(composite.density * caps, composite.grid))
-    raise ValueError("mean_state_capacity: unsupported composite type")
+    law = state_law(composite)
+    if isinstance(law, ContinuousBscComposite):
+        caps = 1.0 - binary_entropy(law.grid)
+        return float(np.trapezoid(law.density * caps, law.grid))
+    return float(np.dot(law.mass, law.caps))
 
 
 def expected_capacity_bounds(composite) -> CapacityBounds:

@@ -22,6 +22,9 @@ ERASURE = 2
 # derivative singularity at {0, 1}.
 EPS = 1e-12
 
+# Halvings of [0, 1/2] when inverting h: 0.5 / 2**66 is below 1e-20.
+_ENTROPY_BISECTIONS = 66
+
 
 def _rng(seed):
     """Accept an int seed or a ready Generator."""
@@ -126,32 +129,36 @@ class BecState:
         return bec_capacity(self.erasure)
 
 
-def degraded_order(a, b) -> int:
-    """Compare two same-family states by noisiness.
+@dataclass(frozen=True)
+class StateLaw:
+    """The law of the realized state's capacity, as atoms in state order.
 
-    Returns -1 if `a` is less noisy (a degraded version of `a` yields `b`),
-    +1 if `b` is less noisy, 0 if equivalent.  BSCs order by crossover,
-    BECs by erasure probability.  Mixed families are not comparable here.
+    `family` is "bsc" or "bec", `params` holds each atom's crossover or
+    erasure probability (None when no state is frozen, as for an
+    ergodic Gilbert-Elliott channel), `mass` the atom probabilities and
+    `caps` each atom's capacity.  The arrays are read-only: a channel
+    builds its law once and every solver shares it.
     """
-    if isinstance(a, BscState) and isinstance(b, BscState):
-        pa, pb = a.crossover, b.crossover
-    elif isinstance(a, BecState) and isinstance(b, BecState):
-        pa, pb = a.erasure, b.erasure
-    else:
-        raise ValueError("degraded_order: unsupported for mixed channel families")
-    if pa < pb:
-        return -1
-    if pa > pb:
-        return 1
-    return 0
+
+    family: str
+    params: np.ndarray | None
+    mass: np.ndarray
+    caps: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.params, self.mass, self.caps):
+            if arr is not None:
+                arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class DiscreteComposite:
-    """Finitely many component channels with a pmf over states."""
+    """Finitely many component channels with a pmf over states; `law`
+    is their StateLaw, built once here."""
 
     states: tuple
     pmf: np.ndarray
+    law: StateLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -160,7 +167,7 @@ class DiscreteComposite:
         kinds = {type(s) for s in states}
         if len(kinds) != 1 or kinds.pop() not in (BscState, BecState):
             raise ValueError("DiscreteComposite: states must be all BscState or all BecState")
-        w = np.asarray(self.pmf, dtype=float)
+        w = np.array(self.pmf, dtype=float)
         if w.shape != (len(states),):
             raise ValueError("DiscreteComposite: pmf length must match state count")
         if not np.all(w >= 0.0):
@@ -169,17 +176,22 @@ class DiscreteComposite:
             raise ValueError("DiscreteComposite: pmf must sum to 1 within 1e-12")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "pmf", w)
+        if type(states[0]) is BscState:
+            params = np.array([s.crossover for s in states], dtype=float)
+            law = StateLaw("bsc", params, w, bsc_capacity(params))
+        else:
+            params = np.array([s.erasure for s in states], dtype=float)
+            law = StateLaw("bec", params, w, bec_capacity(params))
+        object.__setattr__(self, "law", law)
 
     @property
     def family(self) -> str:
-        return "bsc" if isinstance(self.states[0], BscState) else "bec"
+        return self.law.family
 
     @property
     def params(self) -> np.ndarray:
         """Crossover (BSC) or erasure (BEC) probabilities, state order."""
-        if self.family == "bsc":
-            return np.array([s.crossover for s in self.states])
-        return np.array([s.erasure for s in self.states])
+        return self.law.params
 
     def support_params(self) -> np.ndarray:
         """Parameters of states carrying positive probability."""
@@ -193,8 +205,10 @@ class ContinuousBscComposite:
     The density f(p) lives on a uniform grid; F(p) is its trapezoid
     cumulative.  The `uniform` preset keeps exact closed forms
     (f = 2, F(p) = 2p) so analytic comparisons are not polluted by
-    quadrature error.
+    quadrature error.  The composite is its own state law.
     """
+
+    family = "bsc"
 
     grid: np.ndarray
     density: np.ndarray
@@ -266,29 +280,6 @@ class ContinuousBscComposite:
 
 
 @dataclass(frozen=True)
-class PointMassDensity:
-    """Degenerate crossover distribution concentrated at a single p0.
-
-    Useful as the collapsed limit of continuous layering; the broadcast
-    solver short-circuits it to the single-state answers.
-    """
-
-    p0: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p0 <= 0.5:
-            raise ValueError("PointMassDensity: p0 must lie in [0, 1/2]")
-
-    def cdf(self, p):
-        p_arr = np.asarray(p, dtype=float)
-        out = np.where(p_arr >= self.p0, 1.0, 0.0)
-        return float(out) if np.isscalar(p) else out
-
-    def support_sup(self) -> float:
-        return self.p0
-
-
-@dataclass(frozen=True)
 class GilbertElliott:
     """Two-state Markov channel; each state is a BSC.
 
@@ -296,7 +287,8 @@ class GilbertElliott:
     bad-to-good one, so the stationary distribution is
     (g/(g+b), b/(g+b)).  With g = b = 0 the state is frozen at its
     initial draw (pi_good, pi_bad) and the channel is a nonergodic
-    two-state composite; with g + b > 0 it is ergodic.
+    two-state composite; with g + b > 0 it is ergodic.  `law` is the
+    StateLaw of either case, built once here.
     """
 
     p_good: float
@@ -304,6 +296,7 @@ class GilbertElliott:
     g: float
     b: float
     pi_good: float
+    law: StateLaw = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.p_good < self.p_bad <= 0.5:
@@ -312,6 +305,15 @@ class GilbertElliott:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"GilbertElliott: {name} must lie in [0, 1]")
+        if self.is_ergodic:
+            # The state keeps moving, so every block sees the stationary
+            # mixture: one atom at the average capacity, no frozen state.
+            pi_g, pi_b = self.stationary()
+            cap = pi_g * bsc_capacity(self.p_good) + pi_b * bsc_capacity(self.p_bad)
+            law = StateLaw("bsc", None, np.array([1.0]), np.array([cap]))
+        else:
+            law = self.as_composite().law
+        object.__setattr__(self, "law", law)
 
     @property
     def pi_bad(self) -> float:
@@ -341,22 +343,41 @@ class GilbertElliott:
         )
 
 
+def state_law(channel):
+    """The channel's state law: a StateLaw of atoms, or the continuous
+    composite itself (its `family` is "bsc")."""
+    if isinstance(channel, (StateLaw, ContinuousBscComposite)):
+        return channel
+    if isinstance(channel, (DiscreteComposite, GilbertElliott)):
+        return channel.law
+    raise ValueError(f"unsupported composite type {type(channel).__name__}")
+
+
 def sample_state(composite, seed):
     """Draw one channel state from the composite's state distribution."""
+    law = state_law(composite)
     rng = _rng(seed)
-    if isinstance(composite, DiscreteComposite):
-        idx = rng.choice(len(composite.states), p=composite.pmf)
-        return composite.states[int(idx)]
-    if isinstance(composite, ContinuousBscComposite):
-        return BscState(float(composite.sample(rng, 1)[0]))
-    if isinstance(composite, GilbertElliott):
-        return sample_state(composite.as_composite(), rng)
-    raise ValueError("sample_state: unsupported composite type")
+    if isinstance(law, ContinuousBscComposite):
+        return BscState(float(law.sample(rng, 1)[0]))
+    if law.params is None:
+        raise ValueError("sample_state: ergodic Gilbert-Elliott has no frozen state to draw")
+    idx = int(rng.choice(law.mass.size, p=law.mass))
+    return (BscState if law.family == "bsc" else BecState)(float(law.params[idx]))
 
 
-def sample_state_indices(composite: DiscreteComposite, rng, size: int) -> np.ndarray:
-    """Vectorized state-index draws for a discrete composite."""
-    return rng.choice(len(composite.states), size=size, p=composite.pmf)
+def _entropy_inverse(t: np.ndarray) -> np.ndarray:
+    """The p in [0, 1/2] with h(p) = t, for every t of an array in [0, 1].
+
+    h increases on [0, 1/2], so halving [0, 1/2] _ENTROPY_BISECTIONS
+    times for all t at once leaves each p within 1e-20 of its root
+    (t = 0 gives 0 and t = 1 gives 1/2).
+    """
+    p, half = np.zeros(t.shape), 0.5
+    for _ in range(_ENTROPY_BISECTIONS):
+        half *= 0.5
+        mid = p + half
+        np.copyto(p, mid, where=binary_entropy(mid) <= t)
+    return p
 
 
 def transmit(state, x_block, seed):

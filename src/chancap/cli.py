@@ -15,33 +15,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import (
-    best_outage_rate,
-    mean_state_capacity,
-    outage_curve,
-    shannon_capacity,
-)
-from .channels import (
-    ContinuousBscComposite,
-    DiscreteComposite,
-    GilbertElliott,
-    binary_entropy,
-)
+from .capacity import limit_spectrum_cdf, mean_state_capacity, outage_curve
+from .channels import ContinuousBscComposite, state_law
 from .codemap import BroadcastCodeSpec, bc_to_expected, expected_to_bc, subset_weighted_rate
 from .config import ConfigError, RunConfig, build_channel, load_config
 from .layering import (
     SolverError,
+    expected_capacity,
     expected_capacity_continuous,
-    optimize_discrete,
     parametric_expected_rate,
     rate_profile,
     solve_layering,
 )
 from .simulate import simulate_outage_code_sweep, simulate_uncoded_bec
 from .spectrum import estimate_spectrum
-
-# Halvings of [0, 1/2] when inverting h: 0.5 / 2**66 is below 1e-20.
-_ENTROPY_BISECTIONS = 66
 
 
 def _fmt(value) -> str:
@@ -58,53 +45,6 @@ def _render(cfg: RunConfig, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entropy_inverse(t: np.ndarray) -> np.ndarray:
-    """The p in [0, 1/2] with h(p) = t, for every t of an array in [0, 1].
-
-    h increases on [0, 1/2], so halving [0, 1/2] _ENTROPY_BISECTIONS
-    times for all t at once leaves each p within 1e-20 of its root
-    (t = 0 gives 0 and t = 1 gives 1/2).
-    """
-    p, half = np.zeros(t.shape), 0.5
-    for _ in range(_ENTROPY_BISECTIONS):
-        half *= 0.5
-        mid = p + half
-        np.copyto(p, mid, where=binary_entropy(mid) <= t)
-    return p
-
-
-def _limit_cdf(channel, alphas: np.ndarray) -> np.ndarray:
-    """Large-n information-spectrum cdf: P(capacity of the drawn state <= alpha)."""
-    if isinstance(channel, GilbertElliott):
-        if channel.is_ergodic:
-            c = shannon_capacity(channel)
-            return (alphas >= c - 1e-15).astype(float)
-        channel = channel.as_composite()
-    if isinstance(channel, DiscreteComposite):
-        caps = np.array([s.capacity() for s in channel.states])
-        return np.array([float(channel.pmf[caps <= a + 1e-15].sum()) for a in alphas])
-    if isinstance(channel, ContinuousBscComposite):
-        p_a = _entropy_inverse(np.clip(1.0 - alphas, 0.0, 1.0))
-        return 1.0 - channel.cdf(p_a)
-    raise ConfigError("spectrum limit: unsupported channel type")
-
-
-def _expected_capacity_value(channel) -> float:
-    if isinstance(channel, GilbertElliott):
-        if channel.is_ergodic:
-            return shannon_capacity(channel)
-        channel = channel.as_composite()
-    if isinstance(channel, DiscreteComposite):
-        if channel.family == "bec":
-            return best_outage_rate(channel)[1]
-        order = np.argsort(channel.params)
-        _, value = optimize_discrete(channel.pmf[order], channel.params[order])
-        return value
-    if isinstance(channel, ContinuousBscComposite):
-        return expected_capacity_continuous(channel)
-    raise ConfigError("expected capacity: unsupported channel type")
-
-
 def cmd_capacity(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
     """(q, C_q, (1-q) C_q, C^e, upper bound) over a q grid."""
     channel = build_channel(cfg.raw, base_dir)
@@ -113,7 +53,7 @@ def cmd_capacity(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
     if not 0.0 <= q_min < q_max < 1.0:
         raise ConfigError("capacity: need 0 <= q_min < q_max < 1")
     qs = np.linspace(q_min, q_max, cfg.grid)
-    ce = _expected_capacity_value(channel)
+    ce = expected_capacity(channel)
     ub = mean_state_capacity(channel)
     curve = outage_curve(channel, qs)
     rows = [(q, c, oc, ce, ub) for q, c, oc in zip(qs, curve.c_q, curve.outage_capacity)]
@@ -139,7 +79,7 @@ def cmd_spectrum(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
         est = estimate_spectrum(channel, n=n, trials=cfg.trials, seed=cfg.seed)
         columns.append(est.evaluate(alphas))
         header.append(f"f_hat_n{n}")
-    columns.append(_limit_cdf(channel, alphas))
+    columns.append(limit_spectrum_cdf(channel, alphas))
     header.append("f_limit")
     rows = list(zip(*columns))
     return _render(cfg, header, rows), header
@@ -183,7 +123,7 @@ def cmd_broadcast(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
 def cmd_simulate(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
     """Decoder sweeps: outage codes for BSC families, uncoded for BEC."""
     channel = build_channel(cfg.raw, base_dir)
-    if isinstance(channel, DiscreteComposite) and channel.family == "bec":
+    if state_law(channel).family == "bec":
         ns = cfg.ints("ns", "10000")
         rows = []
         for n in ns:

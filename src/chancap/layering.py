@@ -20,11 +20,11 @@ import numpy as np
 from .capacity import best_outage_rate
 from .channels import (
     EPS,
-    PointMassDensity,
+    ContinuousBscComposite,
     _entropy_bits,
     binary_entropy,
-    bsc_capacity,
     star,
+    state_law,
 )
 
 # Switch to the removable-singularity limit of the Euler LHS this close
@@ -403,11 +403,8 @@ def find_cutoffs(density, scan_points: int = 4096) -> CutoffPair:
     p_u solves RHS(p) = 2 (the LHS limit at r = 1/2) and p_l solves
     LHS(p) = RHS(p) (the r = 0 boundary); each root is bracketed by the
     first sign change in its declared direction on a scan grid and
-    polished by bisection to 1e-8.  A point mass collapses both cutoffs
-    onto the atom.
+    polished by bisection to 1e-8.
     """
-    if isinstance(density, PointMassDensity):
-        return CutoffPair(density.p0, density.p0)
     # Imported here: scipy.optimize adds about 48 MB of resident memory
     # and 0.5 s to a process that has imported chancap, and only the
     # continuous solvers use it.
@@ -490,8 +487,6 @@ def expected_capacity_continuous(density, num: int = 4097) -> float:
     the best outage rate (less 1e-9) means the solve failed: both
     certificates raise SolverError.
     """
-    if isinstance(density, PointMassDensity):
-        return bsc_capacity(density.p0)
     layer = solve_layering(density, num=num)
     g, r = layer.grid, layer.r
     x = np.clip(star(g, r), EPS, 1.0 - EPS)
@@ -505,6 +500,27 @@ def expected_capacity_continuous(density, num: int = 4097) -> float:
     if value < best_outage_rate(density)[1] - 1e-9:
         raise SolverError("expected_capacity_continuous: below the best outage rate")
     return value
+
+
+def expected_capacity(channel) -> float:
+    """Expected capacity C^e of any composite channel.
+
+    A continuous BSC density takes the Euler layering
+    (expected_capacity_continuous).  BSC atoms take the layered
+    optimizer with the states sorted best first (optimize_discrete).
+    For N degraded BEC states, sorted best first with W_k the mass of
+    the k best, the expected rate is linear in each layer's H(X|U), so
+    one outage code is optimal: C^e = max_k W_k (1 - alpha_k), the best
+    outage rate.  An ergodic Gilbert-Elliott channel has no frozen state
+    to layer over: it is one atom, and C^e is its Shannon capacity.
+    """
+    law = state_law(channel)
+    if isinstance(law, ContinuousBscComposite):
+        return expected_capacity_continuous(law)
+    if law.family == "bec" or law.params is None:
+        return best_outage_rate(law)[1]
+    order = np.argsort(law.params)
+    return optimize_discrete(law.mass[order], law.params[order])[1]
 
 
 def parametric_profile(density, family: str, gamma: float, num: int = 4097) -> LayerProfile:

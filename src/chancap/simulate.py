@@ -32,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import capacity_vs_outage
-from .channels import (
-    ContinuousBscComposite,
-    DiscreteComposite,
-    GilbertElliott,
-    sample_state_indices,
-)
+from .channels import ContinuousBscComposite, state_law
 
 # Codebook size guards: floor(2^{nR}) codewords of n bits, and at most
 # _MAX_DRAW bytes of uint64 words in one shard's draw of per-trial
@@ -140,18 +135,14 @@ def ml_decode(codebook: np.ndarray, y: np.ndarray, state) -> int:
 
 
 def _draw_crossovers(composite, rng, size: int) -> np.ndarray:
-    if isinstance(composite, GilbertElliott):
-        if composite.is_ergodic:
-            raise ValueError("simulate: ergodic Gilbert-Elliott has no frozen state to draw")
-        composite = composite.as_composite()
-    if isinstance(composite, DiscreteComposite):
-        if composite.family != "bsc":
-            raise ValueError("simulate: outage-code simulation covers BSC families")
-        idx = sample_state_indices(composite, rng, size)
-        return composite.params[idx]
-    if isinstance(composite, ContinuousBscComposite):
-        return composite.sample(rng, size)
-    raise ValueError("simulate: unsupported composite type")
+    law = state_law(composite)
+    if isinstance(law, ContinuousBscComposite):
+        return law.sample(rng, size)
+    if law.params is None:
+        raise ValueError("simulate: ergodic Gilbert-Elliott has no frozen state to draw")
+    if law.family != "bsc":
+        raise ValueError("simulate: outage-code simulation covers BSC families")
+    return law.params[rng.choice(law.mass.size, size=size, p=law.mass)]
 
 
 def simulate_outage_code_sweep(
@@ -284,7 +275,7 @@ def _erasure_total(rng, n: int, k: int, alpha: float) -> int:
     return total + int(rng.binomial(n * rest, alpha)) if rest else total
 
 
-def simulate_uncoded_bec(composite: DiscreteComposite, n: int, trials: int, seed: int = 0) -> SimResult:
+def simulate_uncoded_bec(composite, n: int, trials: int, seed: int = 0) -> SimResult:
     """Transmit information bits uncoded over a composite BEC.
 
     The receiver keeps the unerased positions, so a state-alpha trial
@@ -297,7 +288,8 @@ def simulate_uncoded_bec(composite: DiscreteComposite, n: int, trials: int, seed
     over k blocks is one Binomial(n k, alpha) draw (split into draws of
     at most 2^63 - 1 uses when n k is larger).
     """
-    if not (isinstance(composite, DiscreteComposite) and composite.family == "bec"):
+    law = state_law(composite)
+    if law.family != "bec":
         raise ValueError("simulate_uncoded_bec: needs a discrete BEC composite")
     if n < 1 or trials < 1:
         raise ValueError("simulate_uncoded_bec: n and trials must be >= 1")
@@ -306,13 +298,13 @@ def simulate_uncoded_bec(composite: DiscreteComposite, n: int, trials: int, seed
     n = int(n)  # a numpy integer would wrap in n * k
 
     rng = np.random.default_rng(seed)
-    support = np.flatnonzero(composite.pmf > 0.0)
+    support = np.flatnonzero(law.mass > 0.0)
     rate_sum = 0.0
     per_state = {}
-    for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
+    for state, size in zip(support, rng.multinomial(trials, law.mass[support])):
         if size > 0:
             k = int(size)
-            state_sum = (n * k - _erasure_total(rng, n, k, float(composite.params[state]))) / n
+            state_sum = (n * k - _erasure_total(rng, n, k, float(law.params[state]))) / n
             rate_sum += state_sum
             per_state[int(state)] = state_sum / k
     return SimResult(

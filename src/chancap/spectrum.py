@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ContinuousBscComposite,
-    DiscreteComposite,
-    GilbertElliott,
-)
+from .channels import ContinuousBscComposite, state_law
 
 
 @dataclass(frozen=True)
@@ -238,29 +234,24 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
         raise ValueError("estimate_spectrum: n must be >= 1")
     if trials < 1:
         raise ValueError("estimate_spectrum: trials must be >= 1")
-    if isinstance(composite, GilbertElliott):
-        if composite.is_ergodic:
-            raise ValueError("estimate_spectrum: ergodic Gilbert-Elliott has no frozen-state spectrum")
-        composite = composite.as_composite()
-    discrete = isinstance(composite, DiscreteComposite)
-    if not (discrete or isinstance(composite, ContinuousBscComposite)):
-        raise ValueError("estimate_spectrum: unsupported composite type")
-
+    law = state_law(composite)
     rng = np.random.default_rng(seed)
-    if not discrete:
-        p = composite.sample(rng, trials)
+    if isinstance(law, ContinuousBscComposite):
+        p = law.sample(rng, trials)
         values = np.sort(_bsc_density(rng.binomial(n, p), n, p))
         return EmpiricalCdf(values=values, state_ids=np.full(trials, -1), blocklength=n, trials=trials)
+    if law.params is None:
+        raise ValueError("estimate_spectrum: ergodic Gilbert-Elliott has no frozen-state spectrum")
 
-    params = composite.params
-    support = np.flatnonzero(composite.pmf > 0.0)
+    params = law.params
+    support = np.flatnonzero(law.mass > 0.0)
     cells = []
-    for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
+    for state, size in zip(support, rng.multinomial(trials, law.mass[support])):
         if size > 0:
             count, mult = _count_histogram(rng, n, float(params[state]), int(size))
             cells.append((np.full(count.size, state), count, mult))
     cell_state, cell_count, mult = (np.concatenate(c) for c in zip(*cells))
-    if composite.family == "bec":
+    if law.family == "bec":
         v = (n - cell_count.astype(float)) / n
     else:
         v = _bsc_density(cell_count, n, params[cell_state])

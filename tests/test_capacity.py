@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -19,6 +19,7 @@ from chancap import (
     capacity_vs_outage,
     expected_capacity_bounds,
     expected_retransmissions,
+    limit_spectrum_cdf,
     mean_state_capacity,
     outage_curve,
     shannon_capacity,
@@ -243,6 +244,8 @@ def _outage_composites(draw):
 @given(comp=_outage_composites(), qs=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6))
 # The scalar and array entropies once differed in the last bit here.
 @example(comp=GilbertElliott(0.13211697676985767, 0.5, g=0.0, b=0.0, pi_good=1.0), qs=[])
+# Crossovers an ulp apart whose capacities round out of order.
+@example(comp=GilbertElliott(0.39920440259575163, 0.3992044025957517, g=0.0, b=0.0, pi_good=0.5), qs=[])
 def test_outage_curve_matches_greedy_oracle(comp, qs):
     law = comp.as_composite() if isinstance(comp, GilbertElliott) else comp
     masses = np.cumsum(law.pmf[np.argsort(-law.params)])
@@ -255,3 +258,43 @@ def test_outage_curve_matches_greedy_oracle(comp, qs):
     # Past every atom the best supported state is kept.
     best = law.support_params().min()
     assert np.all(curve.c_q[~kept] == (bsc_capacity(best) if law.family == "bsc" else 1.0 - best))
+
+
+def _masked_sum_limit_cdf(channel, alphas):
+    """The limit spectrum as the command line computed it before
+    limit_spectrum_cdf: one masked pmf sum per alpha."""
+    if isinstance(channel, GilbertElliott):
+        if channel.is_ergodic:
+            pi_g, pi_b = channel.stationary()
+            c = pi_g * bsc_capacity(channel.p_good) + pi_b * bsc_capacity(channel.p_bad)
+            return (alphas >= c - 1e-15).astype(float)
+        channel = channel.as_composite()
+    caps = np.array([s.capacity() for s in channel.states])
+    return np.array([float(channel.pmf[caps <= a + 1e-15].sum()) for a in alphas])
+
+
+@st.composite
+def _ergodic_ge(draw):
+    p_good = draw(st.floats(0.0, 0.49))
+    p_bad = draw(st.floats(p_good, 0.5).filter(lambda p: p > p_good))
+    g, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    assume(g + b > 0.0)
+    return GilbertElliott(p_good, p_bad, g=g, b=b, pi_good=draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(comp=st.one_of(_outage_composites(), _ergodic_ge()),
+       alphas=st.lists(st.floats(-0.1, 1.1), max_size=6))
+def test_limit_spectrum_cdf_matches_masked_sum(comp, alphas):
+    caps = comp.law.caps
+    grid = np.concatenate([alphas, np.linspace(0.0, 1.0, 11), caps, caps - 1e-15, caps + 1e-15])
+    got = limit_spectrum_cdf(comp, grid)
+    want = _masked_sum_limit_cdf(comp, grid)
+    if comp.law.params is None:
+        # The ergodic branch rounded the 1e-15 slack as alpha >= c - 1e-15,
+        # the atoms as c <= alpha + 1e-15.  Within an ulp of the boundary
+        # the two can disagree, and the one form keeps the atoms' rounding.
+        edge = np.abs(grid - (caps[0] - 1e-15)) <= np.spacing(1.0)
+        want = np.where(edge, caps[0] <= grid + 1e-15, want)
+    assert np.all(np.abs(got - want) <= 1e-15)
+    assert np.all(np.diff(got[np.argsort(grid, kind="stable")]) >= 0.0)

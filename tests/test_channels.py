@@ -18,12 +18,10 @@ from chancap import (
     ContinuousBscComposite,
     DiscreteComposite,
     GilbertElliott,
-    PointMassDensity,
     bec_capacity,
     binary_entropy,
     binary_entropy_prime,
     bsc_capacity,
-    degraded_order,
     sample_state,
     star,
     transmit,
@@ -155,15 +153,6 @@ def test_state_types():
         BecState(1.5)
 
 
-def test_degraded_order():
-    assert degraded_order(BscState(0.1), BscState(0.3)) == -1
-    assert degraded_order(BscState(0.3), BscState(0.1)) == 1
-    assert degraded_order(BscState(0.2), BscState(0.2)) == 0
-    assert degraded_order(BecState(0.1), BecState(0.4)) == -1
-    with pytest.raises(ValueError):
-        degraded_order(BscState(0.1), BecState(0.1))
-
-
 def test_discrete_composite_validation():
     states = (BscState(0.1), BscState(0.3))
     DiscreteComposite(states, (0.4, 0.6))
@@ -219,13 +208,6 @@ def test_density_validation():
         ContinuousBscComposite(g, f)
 
 
-def test_point_mass():
-    pm = PointMassDensity(0.2)
-    assert pm.support_sup() == 0.2
-    assert float(pm.cdf(0.19)) == 0.0
-    assert float(pm.cdf(0.2)) == 1.0
-
-
 def test_gilbert_elliott_stationary():
     ge = GilbertElliott(0.05, 0.3, g=0.1, b=0.05, pi_good=0.5)
     pi = ge.stationary()
@@ -271,3 +253,12 @@ def test_transmit_bec():
 def test_sample_state_deterministic():
     dc = DiscreteComposite((BscState(0.1), BscState(0.3)), (0.5, 0.5))
     assert sample_state(dc, seed=5) == sample_state(dc, seed=5)
+
+
+def test_sample_state_rejects_ergodic_gilbert_elliott():
+    # An ergodic chain keeps moving, so there is no frozen state to draw.
+    ergodic = GilbertElliott(0.05, 0.3, g=0.2, b=0.1, pi_good=0.5)
+    with pytest.raises(ValueError, match="ergodic"):
+        sample_state(ergodic, seed=0)
+    frozen = GilbertElliott(0.05, 0.3, g=0.0, b=0.0, pi_good=0.5)
+    assert sample_state(frozen, seed=0) in (BscState(0.05), BscState(0.3))

@@ -249,6 +249,33 @@ def test_spectrum_csv_bytes_frozen(tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SPECTRUM_BEC_SHA256
 
 
+# sha256 of the `chancap capacity` CSV at its default q grid, one per
+# channel: the uniform law, frozen and ergodic Gilbert-Elliott, a BEC
+# mixture, and BSC mixtures with a zero-mass atom and with tied
+# crossovers.
+CAPACITY_SHA256 = {
+    "": "632c4f0c4293297f9cfb5641814f9e92001bd43ce9896a9cfdd0a067915f33e5",
+    "family=ge\np_good=0.05\np_bad=0.3\npi_good=0.14\n":
+        "8fed80b7f8c07cdf627309cc3ee56676fde8c261c57ab071882ac596f9c2d65c",
+    "family=ge\np_good=0.05\np_bad=0.3\ng=0.2\nb=0.1\n":
+        "a20f078110b2deb59ecbd06ff05ba9e3ff104812c166b1cb234d358f0d7b9674",
+    "family=bec\nerasures=0,0.1,0.3\npmf=0.2,0.5,0.3\n":
+        "c3fce1ae3723aa96136637d481e48d55f67ff242e6e4a5e3c1dd72b7507c3add",
+    "family=bsc\nstates=0.01,0.05,0.2,0.3,0.45\npmf=0.1,0.2,0.3,0,0.4\n":
+        "e726ca2c2d0247595032774ced0c71417e74434e13292af4837afb492bc8cc3f",
+    "family=bsc\nstates=0.2,0.1,0.2,0.4\npmf=0.25,0.25,0.25,0.25\n":
+        "a31bb5d620eb67fec13dd6ace3c5f79ea36e2bb39c27da869d0fdf38a3dbd618",
+}
+
+
+@pytest.mark.parametrize("channel", list(CAPACITY_SHA256))
+def test_capacity_csv_bytes_frozen(tmp_path, capsys, channel):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text(channel)
+    assert main(["capacity", "--config", str(cfg)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CAPACITY_SHA256[channel]
+
+
 def test_nan_inputs_exit_2(tmp_path, capsys):
     dens = tmp_path / "dens.csv"
     f = np.full(31, 1.0 / 0.3)

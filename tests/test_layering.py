@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import beta
 
 from chancap import (
+    BecState,
     BscState,
     ContinuousBscComposite,
     CutoffPair,
     DiscreteComposite,
+    GilbertElliott,
     LayerProfile,
-    PointMassDensity,
     RateProfile,
     SolverError,
     bec_bc_expected_rate,
@@ -28,6 +29,7 @@ from chancap import (
     euler_lhs,
     euler_residual,
     euler_rhs,
+    expected_capacity,
     expected_capacity_continuous,
     find_cutoffs,
     ge_expected_capacity,
@@ -36,6 +38,7 @@ from chancap import (
     parametric_expected_rate,
     parametric_profile,
     rate_profile,
+    shannon_capacity,
     solve_euler_r,
     solve_layering,
 )
@@ -151,11 +154,6 @@ def test_find_cutoffs_uniform():
     assert cut.p_l < cut.p_u
 
 
-def test_find_cutoffs_point_mass():
-    cut = find_cutoffs(PointMassDensity(0.2))
-    assert (cut.p_l, cut.p_u) == (0.2, 0.2)
-
-
 def test_find_cutoffs_triangle_brackets_mode():
     cut = find_cutoffs(_triangle())
     assert cut.p_l < 0.25 < cut.p_u
@@ -233,7 +231,32 @@ def test_rate_profile_step_matches_single_cutoff():
 
 def test_expected_capacity_continuous():
     assert expected_capacity_continuous(UNIFORM) == pytest.approx(0.11734466657589292, abs=1e-12)
-    assert expected_capacity_continuous(PointMassDensity(0.2)) == bsc_capacity(0.2)
+    assert expected_capacity(DiscreteComposite((BscState(0.2),), [1.0])) == bsc_capacity(0.2)
+
+
+def test_expected_capacity_of_every_law():
+    assert expected_capacity(UNIFORM) == expected_capacity_continuous(UNIFORM)
+    frozen = GilbertElliott(0.05, 0.3, g=0.0, b=0.0, pi_good=0.14)
+    assert expected_capacity(frozen) == ge_expected_capacity(0.05, 0.3, 0.14)[0]
+    ergodic = GilbertElliott(0.05, 0.3, g=0.2, b=0.1, pi_good=0.5)
+    assert expected_capacity(ergodic) == shannon_capacity(ergodic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a1=st.floats(0.0, 1.0), a2=st.floats(0.0, 1.0), w1=st.floats(0.0, 1.0), swap=st.booleans())
+@example(a1=0.0, a2=1.0, w1=1e-13, swap=False)
+@example(a1=0.0, a2=0.5, w1=1.0 - 1e-13, swap=True)
+def test_expected_capacity_two_state_bec(a1, a2, w1, swap):
+    a1, a2 = sorted((a1, a2))
+    assume(a1 < a2)
+    pairs = [(BecState(a1), w1), (BecState(a2), 1.0 - w1)]
+    states, pmf = zip(*(pairs[::-1] if swap else pairs))
+    got = expected_capacity(DiscreteComposite(states, list(pmf)))
+    # An atom of positive mass at most 1e-12 fits under every q (the
+    # outage search's mass tolerance), which moves C^e by at most that
+    # mass times a capacity.
+    tol = 1e-12 if 0.0 < min(w1, 1.0 - w1) <= 1e-12 else 1e-15
+    assert abs(got - bec_bc_expected_rate(a1, a2, w1)) <= tol
 
 
 def test_solved_profile_is_first_order_optimal():
