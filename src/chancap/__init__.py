@@ -8,7 +8,6 @@ from .channels import (
     DiscreteComposite,
     GilbertElliott,
     binary_entropy,
-    binary_entropy_prime,
     bec_capacity,
     bsc_capacity,
     sample_state,
@@ -18,7 +17,6 @@ from .channels import (
 )
 from .spectrum import (
     EmpiricalCdf,
-    Quantile,
     cdf_quantile,
     estimate_spectrum,
     info_density_bec,
@@ -31,7 +29,6 @@ from .capacity import (
     capacity_from_spectrum,
     capacity_vs_outage,
     expected_capacity_bounds,
-    expected_retransmissions,
     limit_spectrum_cdf,
     mean_state_capacity,
     outage_curve,
@@ -49,7 +46,6 @@ from .layering import (
     discretize_density,
     expected_capacity,
     euler_lhs,
-    euler_residual,
     euler_rhs,
     expected_capacity_continuous,
     find_cutoffs,
@@ -72,8 +68,6 @@ from .codemap import (
 )
 from .simulate import (
     SimResult,
-    ml_decode,
-    simulate_outage_code,
     simulate_outage_code_sweep,
     simulate_uncoded_bec,
 )

@@ -32,6 +32,10 @@ from .spectrum import EmpiricalCdf, cdf_quantile
 # Mass comparisons at pmf atoms tolerate accumulated float error.
 _ATOM_TOL = 1e-12
 
+# q grid of the continuous best-outage scan, before golden-section
+# refinement.
+_OUTAGE_SCAN_POINTS = 1024
+
 
 @dataclass(frozen=True)
 class OutageCurve:
@@ -106,6 +110,8 @@ def limit_spectrum_cdf(composite, alphas: np.ndarray) -> np.ndarray:
     the drawn state's capacity is at most alpha (atoms within 1e-15 of
     alpha count as at most)."""
     alphas = np.asarray(alphas, dtype=float)
+    if not np.isfinite(alphas).all():
+        raise ValueError("limit_spectrum_cdf: alphas must be finite")
     law = state_law(composite)
     if isinstance(law, ContinuousBscComposite):
         return 1.0 - law.cdf(_entropy_inverse(np.clip(1.0 - alphas, 0.0, 1.0)))
@@ -125,13 +131,14 @@ def outage_curve(composite, q_grid) -> OutageCurve:
     q = np.asarray(q_grid, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("outage_curve: q_grid must be a nonempty 1-D array")
-    if np.any(q < 0.0) or np.any(q >= 1.0):
+    # Written as "not (in range)" so that NaN fails the check.
+    if not ((q >= 0.0) & (q < 1.0)).all():
         raise ValueError("outage_curve: grid values must lie in [0, 1)")
     c = _c_q(composite, q)
     return OutageCurve(q=q, c_q=c, outage_capacity=(1.0 - q) * c)
 
 
-def best_outage_rate(composite, grid_points: int = 1024) -> tuple[float, float]:
+def best_outage_rate(composite) -> tuple[float, float]:
     """Maximize the outage capacity (1-q) C_q over q in [0, 1).
 
     Atoms: C_q is a right-continuous step function whose pieces start
@@ -147,7 +154,7 @@ def best_outage_rate(composite, grid_points: int = 1024) -> tuple[float, float]:
         # only the continuous solvers use it.
         from scipy.optimize import minimize_scalar
 
-        qs = np.linspace(0.0, 1.0, grid_points, endpoint=False)
+        qs = np.linspace(0.0, 1.0, _OUTAGE_SCAN_POINTS, endpoint=False)
         vals = (1.0 - qs) * _c_q(composite, qs)
         k = int(np.argmax(vals))
         lo = qs[max(k - 1, 0)]
@@ -170,16 +177,9 @@ def best_outage_rate(composite, grid_points: int = 1024) -> tuple[float, float]:
     return best_q, best_v
 
 
-def expected_retransmissions(q: float) -> float:
-    """Mean transmissions per successful block: geometric, 1/(1-q)."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError("expected_retransmissions: q must lie in [0, 1)")
-    return 1.0 / (1.0 - q)
-
-
 def capacity_from_spectrum(cdf: EmpiricalCdf, q: float) -> float:
     """Spectrum-estimated C_q: the empirical quantile sup {alpha : F_hat <= q}."""
-    return cdf_quantile(cdf, q).value
+    return cdf_quantile(cdf, q)
 
 
 def mean_state_capacity(composite) -> float:

@@ -43,14 +43,15 @@ def binary_entropy(p):
     """
     if np.ndim(p) == 0:
         x = float(p)
-        if x < 0.0 or x > 1.0:
+        # Written as "not (in range)" so that NaN fails the check.
+        if not 0.0 <= x <= 1.0:
             raise ValueError("binary_entropy: argument must lie in [0, 1]")
         y = 1.0 - x
         x_log_x = 0.0 if x == 0.0 else x * float(np.log(x))
         y_log_y = 0.0 if y == 0.0 else y * float(np.log(y))
         return -(x_log_x + y_log_y) / LN2
     arr = np.asarray(p, dtype=float)
-    if (arr < 0.0).any() or (arr > 1.0).any():
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ValueError("binary_entropy: argument must lie in [0, 1]")
     return _entropy_bits(arr)
 
@@ -60,15 +61,6 @@ def _entropy_bits(x: np.ndarray) -> np.ndarray:
     stays NaN): log is taken at 1 in place of 0, so 0 log 0 = 0."""
     y = 1.0 - x
     return -(x * np.log(np.where(x > 0.0, x, 1.0)) + y * np.log(np.where(y > 0.0, y, 1.0))) / LN2
-
-
-def binary_entropy_prime(x):
-    """h'(x) = log2((1-x)/x), clamped near the endpoint singularities."""
-    arr = np.clip(np.asarray(x, dtype=float), EPS, 1.0 - EPS)
-    d = np.log2((1.0 - arr) / arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(d)
-    return d
 
 
 def star(a, b):
@@ -93,7 +85,7 @@ def bsc_capacity(p):
 def bec_capacity(alpha):
     """Capacity 1 - alpha of a binary erasure channel."""
     arr = np.asarray(alpha, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ValueError("bec_capacity: erasure probability must lie in [0, 1]")
     out = 1.0 - arr
     if np.isscalar(alpha) or arr.ndim == 0:
@@ -193,10 +185,6 @@ class DiscreteComposite:
         """Crossover (BSC) or erasure (BEC) probabilities, state order."""
         return self.law.params
 
-    def support_params(self) -> np.ndarray:
-        """Parameters of states carrying positive probability."""
-        return self.params[self.pmf > 0.0]
-
 
 @dataclass(frozen=True)
 class ContinuousBscComposite:
@@ -255,7 +243,7 @@ class ContinuousBscComposite:
     def inverse_cdf(self, u):
         """Smallest p with F(p) >= u (plateaus resolve to their left edge)."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+        if not ((u_arr >= 0.0) & (u_arr <= 1.0)).all():
             raise ValueError("inverse_cdf: u must lie in [0, 1]")
         if self.analytic_preset == "uniform":
             out = u_arr / 2.0
@@ -329,12 +317,6 @@ class GilbertElliott:
         s = self.g + self.b
         return (self.g / s, self.b / s)
 
-    def step(self, pi: tuple[float, float]) -> tuple[float, float]:
-        """One step of the state Markov chain applied to (pi_good, pi_bad)."""
-        pg, pb = pi
-        return (pg * (1.0 - self.b) + pb * self.g,
-                pg * self.b + pb * (1.0 - self.g))
-
     def as_composite(self) -> DiscreteComposite:
         """The frozen-state two-BSC composite (nonergodic semantics)."""
         return DiscreteComposite(
@@ -354,7 +336,9 @@ def state_law(channel):
 
 
 def sample_state(composite, seed):
-    """Draw one channel state from the composite's state distribution."""
+    """Draw the channel state S, once per block, from the composite's
+    state distribution: the paper's composite channel picks S at time
+    zero and holds it for the whole block, and the receiver learns it."""
     law = state_law(composite)
     rng = _rng(seed)
     if isinstance(law, ContinuousBscComposite):
@@ -381,7 +365,8 @@ def _entropy_inverse(t: np.ndarray) -> np.ndarray:
 
 
 def transmit(state, x_block, seed):
-    """Send a binary block through one realized component channel.
+    """Send a binary block through the component channel of a realized
+    state: one block's use of the composite channel once S is drawn.
 
     BSC flips each bit independently with probability p; BEC maps each
     bit to ERASURE independently with probability alpha.

@@ -34,6 +34,9 @@ _LHS_LIMIT_BAND = 1e-6
 # Halvings of [0, 1/2] in the Euler solve: 0.5 / 2**50 < 5e-16.
 _EULER_BISECTIONS = 50
 
+# p grid on which find_cutoffs brackets each cutoff before polishing.
+_CUTOFF_SCAN_POINTS = 4096
+
 # Slack of the discrete optimizer's first-order certificate, in nats.
 _KKT_TOL = 1e-9
 
@@ -162,6 +165,11 @@ def _layer_rates(p: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def discrete_expected_rate(weights, p_states, r) -> float:
     """Expected rate sum_i w_i R(p_i) with R(p_i) = sum_{j >= i} R_j.
+
+    This is the expected rate of one layered (broadcast) code for the
+    composite BSC: the state-i decoder recovers layers i..N, so the
+    quantity the paper's expected capacity maximizes over codes, here
+    for a given r chain; optimize_discrete maximizes it over chains.
 
     Rearranged as sum_j W_j R_j with W_j the cdf of the weights, which
     is the form the optimizer differentiates.  The weights must be a
@@ -365,11 +373,6 @@ def euler_rhs(p, density):
     return ((1.0 - 2.0 * p) * density.pdf(p) - 2.0 * big_f) / big_f
 
 
-def euler_residual(p: float, r: float, density) -> float:
-    """LHS(p * r) - RHS(p); a solved profile makes this vanish."""
-    return euler_lhs(max(star(p, r), EPS)) - euler_rhs(p, density)
-
-
 def _euler_r(p: np.ndarray, density) -> np.ndarray:
     """Pointwise Euler solutions r(p) in [0, 1/2] for an array of p.
 
@@ -397,7 +400,7 @@ def solve_euler_r(p: float, density) -> float:
     return float(_euler_r(np.array([p], dtype=float), density)[0])
 
 
-def find_cutoffs(density, scan_points: int = 4096) -> CutoffPair:
+def find_cutoffs(density) -> CutoffPair:
     """Cutoff probabilities: r(p_l) = 0 and r(p_u) = 1/2 boundaries.
 
     p_u solves RHS(p) = 2 (the LHS limit at r = 1/2) and p_l solves
@@ -413,7 +416,7 @@ def find_cutoffs(density, scan_points: int = 4096) -> CutoffPair:
     p_min = max(float(density.grid[0]), 1e-9)
     p_max = min(density.support_sup(), 0.5)
     # Skip ahead to positive F so the RHS is defined.
-    ps = np.linspace(p_min, p_max, scan_points)
+    ps = np.linspace(p_min, p_max, _CUTOFF_SCAN_POINTS)
     ps = ps[density.cdf(ps) > 0.0]
     if ps.size < 2:
         raise ValueError("find_cutoffs: degenerate density grid")
@@ -476,6 +479,14 @@ def rate_profile(layer: LayerProfile) -> RateProfile:
     return RateProfile(grid=g, rates=rates)
 
 
+def _expected_rate(density, prof: RateProfile) -> float:
+    """E[R(p)] = F(lo) R(lo) + integral f R over the profile's grid [lo, hi]:
+    states below the grid decode the plateau R(lo), states above it
+    nothing."""
+    g = prof.grid
+    return float(density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g))
+
+
 def expected_capacity_continuous(density, num: int = 4097) -> float:
     """Expected capacity of the continuous-state BSC composite.
 
@@ -493,8 +504,7 @@ def expected_capacity_continuous(density, num: int = 4097) -> float:
     weight = density.cdf(g) * np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * np.gradient(r, g)
     value = float(np.trapezoid(weight, g))
 
-    prof = rate_profile(layer)
-    alt = float(density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g))
+    alt = _expected_rate(density, rate_profile(layer))
     if abs(value - alt) > 1e-6:
         raise SolverError("expected_capacity_continuous: integral forms disagree")
     if value < best_outage_rate(density)[1] - 1e-9:
@@ -529,8 +539,11 @@ def parametric_profile(density, family: str, gamma: float, num: int = 4097) -> L
     "optimal-cutoff": r = ((p - p_l)/(p_u - p_l))^gamma / 2 on the
     solved cutoff band.  "full-range": r = (2p)^gamma / 2 on [0, 1/2].
     """
-    if gamma <= 0.0:
-        raise ValueError("parametric_profile: gamma must be positive")
+    # Written as "not (in range)" so that NaN fails the check.  An
+    # infinite gamma is a step at the top of the band, which the
+    # finite-difference rate profile cannot integrate.
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("parametric_profile: gamma must be positive and finite")
     if family == "optimal-cutoff":
         cut = find_cutoffs(density)
         grid = np.linspace(cut.p_l, cut.p_u, num)
@@ -545,13 +558,8 @@ def parametric_profile(density, family: str, gamma: float, num: int = 4097) -> L
 
 
 def parametric_expected_rate(density, family: str, gamma: float, num: int = 4097) -> float:
-    """Expected rate of a parametric profile: F(lo) R(lo) + integral f R."""
-    layer = parametric_profile(density, family, gamma, num=num)
-    prof = rate_profile(layer)
-    g = layer.grid
-    return float(
-        density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g)
-    )
+    """Expected rate of a parametric profile."""
+    return _expected_rate(density, rate_profile(parametric_profile(density, family, gamma, num=num)))
 
 
 def bec_bc_region(alpha1: float, alpha2: float, p_aux: float) -> tuple[float, float]:
@@ -571,6 +579,10 @@ def bec_bc_region(alpha1: float, alpha2: float, p_aux: float) -> tuple[float, fl
 
 def bec_bc_expected_rate(alpha1: float, alpha2: float, w1: float = 0.5) -> float:
     """Best expected rate of BEC broadcast codes: max{1-alpha2, w1 (1-alpha1)}.
+
+    The paper's two-state BEC broadcast example: a composite BEC with
+    erasure alpha1 w.p. w1 and alpha2 otherwise, whose expected capacity
+    is reached by one of the two corner codes below.
 
     The objective R12 + w1 R1 is linear in h(p_aux), so the maximum over
     the auxiliary parameter sits at an endpoint: all-common (h = 0)

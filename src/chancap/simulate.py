@@ -43,6 +43,10 @@ _MAX_DRAW = 2**26
 # Largest number of channel uses in one binomial draw.
 _INT64_MAX = 2**63 - 1
 
+# Shards of a decoder sweep.  Each takes one seed spawned from the
+# master seed, so this count fixes the sweep's random streams.
+_SHARDS = 8
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -105,35 +109,6 @@ def _distances(books: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.bitwise_count(books ^ y[:, None, :]).sum(axis=2, dtype=np.int64)
 
 
-def ml_decode(codebook: np.ndarray, y: np.ndarray, state) -> int:
-    """Exhaustive maximum-likelihood index; ties break to the smallest.
-
-    BSC: log-likelihood is d log(p) + (n-d) log(1-p), monotone in the
-    Hamming distance d for p < 1/2.  BEC: a codeword is consistent when
-    it matches y on every unerased position; consistent codewords are
-    equally likely.
-    """
-    from .channels import ERASURE, BecState, BscState
-
-    book = np.asarray(codebook)
-    yv = np.asarray(y)
-    if book.ndim != 2 or yv.shape != (book.shape[1],):
-        raise ValueError("ml_decode: codebook must be (M, n) and y length n")
-    if isinstance(state, BscState):
-        p = min(max(state.crossover, 1e-12), 1.0 - 1e-12)
-        dist = (book != yv).sum(axis=1)
-        loglik = dist * math.log(p) + (book.shape[1] - dist) * math.log(1.0 - p)
-        return int(np.argmax(loglik))
-    if isinstance(state, BecState):
-        known = yv != ERASURE
-        consistent = np.all(book[:, known] == yv[known], axis=1)
-        hits = np.nonzero(consistent)[0]
-        if hits.size == 0:
-            raise ValueError("ml_decode: no codeword consistent with the erased block")
-        return int(hits[0])
-    raise ValueError("ml_decode: unsupported state type")
-
-
 def _draw_crossovers(composite, rng, size: int) -> np.ndarray:
     law = state_law(composite)
     if isinstance(law, ContinuousBscComposite):
@@ -153,7 +128,6 @@ def simulate_outage_code_sweep(
     trials: int,
     epsilon: float = 0.01,
     seed: int = 0,
-    shards: int = 8,
     ml_oracle: bool = False,
 ) -> list[SimResult]:
     """Run the typical-set decoder at several blocklengths, paired.
@@ -167,11 +141,12 @@ def simulate_outage_code_sweep(
         raise ValueError("simulate: blocklengths must be positive")
     if trials < 1:
         raise ValueError("simulate: trials must be >= 1")
-    if rate <= 0.0:
+    # Written as "not (in range)" so that NaN fails the checks.
+    if not rate > 0.0:
         raise ValueError("simulate: rate must be positive")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("simulate: epsilon must be positive")
-    shards = max(1, min(shards, trials))
+    shards = min(_SHARDS, trials)
     sizes = _shard_sizes(trials, shards)
     for n in ns:
         if n * rate > _MAX_NR:
@@ -243,24 +218,6 @@ def simulate_outage_code_sweep(
             )
         )
     return results
-
-
-def simulate_outage_code(
-    composite,
-    n: int,
-    rate: float,
-    q: float,
-    trials: int,
-    epsilon: float = 0.01,
-    seed: int = 0,
-    shards: int = 8,
-    ml_oracle: bool = False,
-) -> SimResult:
-    """Single-blocklength wrapper around the sweep."""
-    return simulate_outage_code_sweep(
-        composite, [n], rate, q, trials, epsilon=epsilon, seed=seed, shards=shards,
-        ml_oracle=ml_oracle,
-    )[0]
 
 
 def _erasure_total(rng, n: int, k: int, alpha: float) -> int:

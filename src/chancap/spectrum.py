@@ -19,77 +19,63 @@ import numpy as np
 from .channels import ContinuousBscComposite, state_law
 
 
-@dataclass(frozen=True)
-class Quantile:
-    """A quantile of an empirical cdf.
-
-    `at_atom` marks that the returned value carries more than one
-    sample (an atom of the empirical measure), in which case the
-    supremum in the outage definition sits just below the atom and a
-    conservative caller may prefer the preceding value.
-    """
-
-    value: float
-    at_atom: bool
-
-
-def info_density_bsc(d, n: int, p: float):
+def info_density_bsc(d, n: int, p):
     """Normalized information density of a BSC block at Hamming distance d.
 
-    Under uniform input, (1/n) i = 1 + (d/n) log2 p + (1 - d/n) log2(1-p).
-    At p = 0 (or 1) only the deterministic distance is possible; any
-    other d signals an impossible event and is rejected loudly.
+    Under uniform input, (1/n) i = 1 + (d/n) log2 p + (1 - d/n) log2(1-p),
+    for scalars or matching arrays of d and p.  At p = 0 (or 1) only the
+    deterministic distance is possible; any other d signals an
+    impossible event and is rejected loudly.
     """
     d_arr = np.asarray(d)
+    p_arr = np.asarray(p, dtype=float)
     if n < 1:
         raise ValueError("info_density_bsc: n must be >= 1")
-    if np.any(d_arr < 0) or np.any(d_arr > n):
+    # Written as "not (in range)" so that NaN fails the checks.
+    if not ((d_arr >= 0) & (d_arr <= n)).all():
         raise ValueError("info_density_bsc: need 0 <= d <= n")
-    if not 0.0 <= p <= 1.0:
+    if not ((p_arr >= 0.0) & (p_arr <= 1.0)).all():
         raise ValueError("info_density_bsc: p must lie in [0, 1]")
-    if p == 0.0 or p == 1.0:
-        forced = 0 if p == 0.0 else n
-        if np.any(d_arr != forced):
+    frac = d_arr.astype(float) / n
+    # p in {0, 1} is handled exactly below; the clamp only protects
+    # the vectorized log evaluation.
+    pc = np.clip(p_arr, 1e-300, 1.0 - 1e-16)
+    out = 1.0 + frac * np.log2(pc) + (1.0 - frac) * np.log2(1.0 - pc)
+    exact = (p_arr == 0.0) | (p_arr == 1.0)
+    if exact.any():
+        if np.any(exact & (d_arr != np.where(p_arr == 0.0, 0, n))):
             raise AssertionError("info_density_bsc: impossible distance for a deterministic channel")
-        out = np.ones_like(np.asarray(d_arr, dtype=float))
-        return float(out) if np.isscalar(d) else out
-    frac = np.asarray(d_arr, dtype=float) / n
-    out = 1.0 + frac * np.log2(p) + (1.0 - frac) * np.log2(1.0 - p)
-    return float(out) if np.isscalar(d) else out
+        out = np.where(exact, 1.0, out)
+    return float(out) if out.ndim == 0 else out
 
 
-def info_density_bec(e, n: int, alpha: float):
+def info_density_bec(e, n: int, alpha):
     """Normalized information density of a BEC block with e erasures: (n-e)/n."""
     e_arr = np.asarray(e)
+    alpha_arr = np.asarray(alpha, dtype=float)
     if n < 1:
         raise ValueError("info_density_bec: n must be >= 1")
-    if np.any(e_arr < 0) or np.any(e_arr > n):
+    # Written as "not (in range)" so that NaN fails the checks.
+    if not ((e_arr >= 0) & (e_arr <= n)).all():
         raise ValueError("info_density_bec: need 0 <= e <= n")
-    if not 0.0 <= alpha <= 1.0:
+    if not ((alpha_arr >= 0.0) & (alpha_arr <= 1.0)).all():
         raise ValueError("info_density_bec: alpha must lie in [0, 1]")
-    out = (n - np.asarray(e_arr, dtype=float)) / n
-    return float(out) if np.isscalar(e) else out
+    out = (n - e_arr.astype(float)) / n
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Sorted Monte Carlo samples of the normalized information density.
-
-    `state_ids[i]` is the index of the state drawn for `values[i]` (-1 for
-    a continuous crossover density); within a run of tied values the
-    state indices do not decrease.
-    """
+    """Sorted Monte Carlo samples of the normalized information density."""
 
     values: np.ndarray
-    state_ids: np.ndarray
     blocklength: int
     trials: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        s = np.asarray(self.state_ids)
-        if v.ndim != 1 or v.size == 0 or s.shape != v.shape:
-            raise ValueError("EmpiricalCdf: values/state_ids must be matching nonempty 1-D arrays")
+        if v.ndim != 1 or v.size == 0:
+            raise ValueError("EmpiricalCdf: values must be a nonempty 1-D array")
         if not np.all(np.isfinite(v)):
             raise ValueError("EmpiricalCdf: values must be finite")
         if np.any(np.diff(v) < 0.0):
@@ -97,7 +83,6 @@ class EmpiricalCdf:
         if self.trials != v.size:
             raise ValueError("EmpiricalCdf: trials must equal the sample count")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "state_ids", s)
 
     def evaluate(self, alpha):
         """F_hat(alpha) = fraction of samples <= alpha (right-continuous)."""
@@ -106,7 +91,7 @@ class EmpiricalCdf:
         return float(out) if np.isscalar(alpha) else out
 
 
-def cdf_quantile(cdf: EmpiricalCdf, q: float) -> Quantile:
+def cdf_quantile(cdf: EmpiricalCdf, q: float) -> float:
     """Largest alpha with F_hat(alpha) <= q, i.e. sup of the outage set.
 
     For a step function the supremum is the (floor(q m) + 1)-th order
@@ -118,31 +103,7 @@ def cdf_quantile(cdf: EmpiricalCdf, q: float) -> Quantile:
         raise ValueError("cdf_quantile: q must lie in [0, 1)")
     m = cdf.trials
     k = min(int(np.floor(q * m)), m - 1)
-    value = float(cdf.values[k])
-    multiplicity = np.searchsorted(cdf.values, value, side="right") - np.searchsorted(
-        cdf.values, value, side="left"
-    )
-    return Quantile(value=value, at_atom=bool(multiplicity > 1))
-
-
-def _bsc_density(counts: np.ndarray, n: int, params: np.ndarray) -> np.ndarray:
-    """(1/n) i at `counts` flips in n uses of BSC(params), exact at p in {0, 1}."""
-    frac = counts.astype(float) / n
-    # p in {0, 1} states are handled exactly below; clamp only
-    # protects the vectorized log evaluation.
-    pc = np.clip(params, 1e-300, 1.0 - 1e-16)
-    v = 1.0 + frac * np.log2(pc) + (1.0 - frac) * np.log2(1.0 - pc)
-    exact_zero = params == 0.0
-    exact_one = params == 1.0
-    if np.any(exact_zero):
-        if np.any(counts[exact_zero] != 0):
-            raise AssertionError("estimate_spectrum: impossible flip for p = 0 state")
-        v[exact_zero] = 1.0
-    if np.any(exact_one):
-        if np.any(counts[exact_one] != n):
-            raise AssertionError("estimate_spectrum: impossible non-flip for p = 1 state")
-        v[exact_one] = 1.0
-    return v
+    return float(cdf.values[k])
 
 
 # Loader's saddle-point form of the binomial pmf ("Fast and accurate
@@ -216,8 +177,7 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     Each trial draws a state, then the closed-form sufficient statistic
     (Hamming distance or erasure count) as a Binomial(n, .) variable,
     and maps it through the per-block density.  All draws come from one
-    generator seeded with `seed`, and the samples are sorted by value,
-    ties by state index.
+    generator seeded with `seed`, and the samples are sorted by value.
 
     For a discrete law the per-state trial counts are drawn first, as
     one Multinomial(trials, pmf) vector over the states of positive
@@ -238,8 +198,8 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     rng = np.random.default_rng(seed)
     if isinstance(law, ContinuousBscComposite):
         p = law.sample(rng, trials)
-        values = np.sort(_bsc_density(rng.binomial(n, p), n, p))
-        return EmpiricalCdf(values=values, state_ids=np.full(trials, -1), blocklength=n, trials=trials)
+        values = np.sort(info_density_bsc(rng.binomial(n, p), n, p))
+        return EmpiricalCdf(values=values, blocklength=n, trials=trials)
     if law.params is None:
         raise ValueError("estimate_spectrum: ergodic Gilbert-Elliott has no frozen-state spectrum")
 
@@ -251,14 +211,7 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
             count, mult = _count_histogram(rng, n, float(params[state]), int(size))
             cells.append((np.full(count.size, state), count, mult))
     cell_state, cell_count, mult = (np.concatenate(c) for c in zip(*cells))
-    if law.family == "bec":
-        v = (n - cell_count.astype(float)) / n
-    else:
-        v = _bsc_density(cell_count, n, params[cell_state])
-    order = np.lexsort((cell_state, v))
-    return EmpiricalCdf(
-        values=np.repeat(v[order], mult[order]),
-        state_ids=np.repeat(cell_state[order], mult[order]),
-        blocklength=n,
-        trials=trials,
-    )
+    density = info_density_bec if law.family == "bec" else info_density_bsc
+    v = density(cell_count, n, params[cell_state])
+    order = np.argsort(v, kind="stable")
+    return EmpiricalCdf(values=np.repeat(v[order], mult[order]), blocklength=n, trials=trials)

@@ -35,7 +35,6 @@ from chancap import (
     optimize_discrete,
     rate_profile,
     shannon_capacity,
-    simulate_outage_code,
     simulate_outage_code_sweep,
     simulate_uncoded_bec,
     solve_layering,
@@ -246,9 +245,9 @@ def test_criterion_10_error_decay_with_blocklength():
         e8 = sweep[0].error_rate_given_no_outage
         e16 = sweep[1].error_rate_given_no_outage
         wins += e16 < e8
-    ml = simulate_outage_code(
-        GE_FROZEN, n=8, rate=0.15, q=0.5, trials=20000, seed=0, ml_oracle=True
-    )
+    ml = simulate_outage_code_sweep(
+        GE_FROZEN, [8], rate=0.15, q=0.5, trials=20000, seed=0, ml_oracle=True
+    )[0]
     elapsed = time.perf_counter() - start
     print(
         f"criterion 10: wins {wins}/50, ml violations {ml.ml_dominance_violations} "

@@ -18,7 +18,6 @@ from chancap import (
     capacity_from_spectrum,
     capacity_vs_outage,
     expected_capacity_bounds,
-    expected_retransmissions,
     limit_spectrum_cdf,
     mean_state_capacity,
     outage_curve,
@@ -101,6 +100,9 @@ def test_outage_curve():
         outage_curve(UNIFORM, [])
     with pytest.raises(ValueError):
         outage_curve(UNIFORM, [0.5, 1.0])
+    # NaN fails every comparison; it used to get the C_q of the best state.
+    with pytest.raises(ValueError, match="outage_curve"):
+        outage_curve(GilbertElliott(0.05, 0.3, 0.0, 0.0, 0.5), [np.nan, 0.2])
 
 
 def test_best_outage_rate_discrete():
@@ -129,18 +131,17 @@ def test_best_outage_rate_ergodic_ge():
     assert best_outage_rate(ergodic) == (0.0, shannon_capacity(ergodic))
 
 
-def test_expected_retransmissions():
-    assert expected_retransmissions(0.0) == 1.0
-    assert expected_retransmissions(0.5) == 2.0
-    assert expected_retransmissions(0.9) == pytest.approx(10.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        expected_retransmissions(1.0)
+def test_limit_spectrum_cdf_rejects_non_finite_alpha():
+    # A NaN alpha used to get a limit cdf of 1.
+    for channel in (GilbertElliott(0.05, 0.3, 0.0, 0.0, 0.5), UNIFORM):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="limit_spectrum_cdf: alphas must be finite"):
+                limit_spectrum_cdf(channel, np.array([bad, 0.5]))
 
 
 def test_capacity_from_spectrum():
     cdf = EmpiricalCdf(
         values=np.array([0.1, 0.2, 0.3, 0.4]),
-        state_ids=np.zeros(4, dtype=int),
         blocklength=8,
         trials=4,
     )
@@ -256,7 +257,7 @@ def test_outage_curve_matches_greedy_oracle(comp, qs):
     kept = np.array([w is not None for w in want])
     assert np.array_equal(curve.c_q[kept], [w for w in want if w is not None])
     # Past every atom the best supported state is kept.
-    best = law.support_params().min()
+    best = law.params[law.pmf > 0.0].min()
     assert np.all(curve.c_q[~kept] == (bsc_capacity(best) if law.family == "bsc" else 1.0 - best))
 
 

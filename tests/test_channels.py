@@ -20,9 +20,9 @@ from chancap import (
     GilbertElliott,
     bec_capacity,
     binary_entropy,
-    binary_entropy_prime,
     bsc_capacity,
     sample_state,
+    shannon_capacity,
     star,
     transmit,
 )
@@ -56,6 +56,10 @@ def test_binary_entropy_domain():
         binary_entropy(np.array([0.2, 1.5]))
     with pytest.raises(ValueError, match="binary_entropy: argument must lie in"):
         binary_entropy(np.float64(-1e-300))
+    # NaN fails every comparison, so it must fail the range check too.
+    for bad in (np.nan, np.array([0.2, np.nan])):
+        with pytest.raises(ValueError, match="binary_entropy: argument must lie in"):
+            binary_entropy(bad)
 
 
 def _xlogy_entropy(p):
@@ -106,12 +110,6 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_entropy_prime():
-    assert binary_entropy_prime(0.25) == pytest.approx(np.log2(3.0), abs=1e-14)
-    assert binary_entropy_prime(0.5) == pytest.approx(0.0, abs=1e-9)
-    assert binary_entropy_prime(0.75) == pytest.approx(-np.log2(3.0), abs=1e-14)
-
-
 def test_star_values():
     assert star(0.1, 0.2) == pytest.approx(0.26, abs=1e-15)
     assert star(0.3, 0.0) == 0.3
@@ -142,6 +140,9 @@ def test_capacity_helpers():
     assert bsc_capacity(0.5) == 0.0
     assert bsc_capacity(0.11) == pytest.approx(1.0 - 0.499915958164528, abs=1e-14)
     assert bec_capacity(0.3) == pytest.approx(0.7, abs=1e-15)
+    for bad in (np.nan, np.array([0.2, np.nan])):
+        with pytest.raises(ValueError, match="bec_capacity: erasure probability must lie in"):
+            bec_capacity(bad)
 
 
 def test_state_types():
@@ -172,7 +173,9 @@ def test_discrete_composite_validation():
 def test_discrete_composite_support():
     dc = DiscreteComposite((BscState(0.1), BscState(0.3), BscState(0.2)), (0.5, 0.0, 0.5))
     assert dc.family == "bsc"
-    assert set(dc.support_params()) == {0.1, 0.2}
+    # The zero-mass state stays in the law but is outside the support.
+    assert tuple(dc.params) == (0.1, 0.3, 0.2)
+    assert shannon_capacity(dc) == bsc_capacity(0.2)
 
 
 def test_uniform_density():
@@ -181,6 +184,8 @@ def test_uniform_density():
     assert float(u.cdf(0.25)) == pytest.approx(0.5, abs=1e-15)
     assert float(u.pdf(0.1)) == pytest.approx(2.0, abs=1e-12)
     assert float(u.inverse_cdf(0.5)) == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(ValueError, match="inverse_cdf: u must lie in"):
+        u.inverse_cdf(np.nan)
     # density integrates to one on its grid
     assert np.trapezoid(u.density, u.grid) == pytest.approx(1.0, abs=1e-9)
 
@@ -212,8 +217,6 @@ def test_gilbert_elliott_stationary():
     ge = GilbertElliott(0.05, 0.3, g=0.1, b=0.05, pi_good=0.5)
     pi = ge.stationary()
     assert pi == pytest.approx((2.0 / 3.0, 1.0 / 3.0), abs=1e-15)
-    # stationary point is a fixed point of the chain step
-    assert ge.step(pi) == pytest.approx(pi, abs=1e-15)
     assert ge.is_ergodic
 
 

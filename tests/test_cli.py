@@ -268,6 +268,26 @@ CAPACITY_SHA256 = {
 }
 
 
+# sha256 of the `chancap simulate` CSV at its defaults: the decoder
+# sweep on the uniform law and on frozen Gilbert-Elliott (both pin the
+# eight spawned shard streams), and the uncoded BEC mixture.
+SIMULATE_SHA256 = {
+    "": "3120f491a2aeced65bbd4b57b808f92138e985e901581488fe01a25b337895c9",
+    "family=ge\np_good=0.05\np_bad=0.3\npi_good=0.14\n":
+        "5bf78f96885ef7987f1e84b2a59dc25a41bc99b940675fa2e15fbaef2d70743c",
+    "family=bec\nerasures=0,0.1,0.3\npmf=0.2,0.5,0.3\nseed=3\n":
+        "f14263494d1b973df4b611c3ce93f4872bc7e452d5dc2d581f1b159df1280917",
+}
+
+
+@pytest.mark.parametrize("channel", list(SIMULATE_SHA256))
+def test_simulate_csv_bytes_frozen(tmp_path, capsys, channel):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(channel)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SIMULATE_SHA256[channel]
+
+
 @pytest.mark.parametrize("channel", list(CAPACITY_SHA256))
 def test_capacity_csv_bytes_frozen(tmp_path, capsys, channel):
     cfg = tmp_path / "cap.cfg"
@@ -292,6 +312,18 @@ def test_nan_inputs_exit_2(tmp_path, capsys):
     assert main(["capacity", "--config", str(pmf), "--grid", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "pmf" in err
+    # NaN fails every comparison, so each range check is "not (in range)".
+    for sub, text, word in (
+        ("simulate", "family=ge\np_good=0.05\np_bad=0.3\nepsilon=nan\n", "epsilon must be positive"),
+        ("simulate", "family=ge\np_good=0.05\np_bad=0.3\nrate=nan\n", "rate must be positive"),
+        ("spectrum", "family=ge\np_good=0.05\np_bad=0.3\nalpha_grid=nan,0.5\n", "finite"),
+        ("broadcast", "mode=gamma\ngammas=1,inf\n", "finite"),
+    ):
+        cfg.write_text(text)
+        assert main([sub, "--config", str(cfg), "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert word in captured.err
 
 
 def test_capacity_q_within_rounding_of_1(tmp_path, capsys):

@@ -27,7 +27,6 @@ from chancap import (
     discrete_expected_rate,
     discretize_density,
     euler_lhs,
-    euler_residual,
     euler_rhs,
     expected_capacity,
     expected_capacity_continuous,
@@ -41,6 +40,7 @@ from chancap import (
     shannon_capacity,
     solve_euler_r,
     solve_layering,
+    star,
 )
 from chancap import layering
 from chancap.channels import EPS
@@ -117,7 +117,7 @@ def test_euler_rhs_uniform():
 def test_solve_euler_r():
     r = solve_euler_r(0.15, UNIFORM)
     assert r == pytest.approx(0.07952307504687503, abs=1e-9)
-    assert abs(euler_residual(0.15, r, UNIFORM)) < 1e-9
+    assert abs(euler_lhs(star(0.15, r)) - euler_rhs(0.15, UNIFORM)) < 1e-9
     # outside the cutoff band there is no root
     assert np.isnan(solve_euler_r(0.10, UNIFORM))
     assert np.isnan(solve_euler_r(0.20, UNIFORM))
@@ -196,7 +196,8 @@ def test_solve_layering_shape():
     assert np.all(np.diff(layer.r) >= 0.0)
     # interior points satisfy the stationarity condition
     for i in (128, 256, 384):
-        assert abs(euler_residual(float(layer.grid[i]), float(layer.r[i]), UNIFORM)) < 1e-6
+        p, r = float(layer.grid[i]), float(layer.r[i])
+        assert abs(euler_lhs(star(p, r)) - euler_rhs(p, UNIFORM)) < 1e-6
 
 
 def test_rate_profile_uniform():
@@ -674,8 +675,11 @@ def test_parametric_profile_families():
     assert lay.r[0] == 0.0 and lay.r[-1] == 0.5
     full = parametric_profile(UNIFORM, "full-range", 2.0, num=257)
     assert full.grid[0] == 0.0 and full.grid[-1] == 0.5
-    with pytest.raises(ValueError):
-        parametric_profile(UNIFORM, "optimal-cutoff", 0.0)
+    # A NaN gamma used to fail deep in `star`, and an infinite one to
+    # give a rate above the expected capacity.
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            parametric_profile(UNIFORM, "optimal-cutoff", bad)
     with pytest.raises(ValueError):
         parametric_profile(UNIFORM, "spiral", 1.0)
 

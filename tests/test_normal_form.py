@@ -1,17 +1,31 @@
-"""The state law is resolved in one place.
+"""The state law is resolved in one place, and the public surface has
+callers.
 
 Every solver reads a channel through `channels.state_law`, so the
 channel classes are named only where they are defined and where the
-config builds them.
+config builds them.  Every public name is used by the library or the
+benchmark, or is a quantity of the paper kept for its own sake.
 """
 
 import ast
+import re
+import types
 from pathlib import Path
 
 import chancap
 
 SRC = Path(chancap.__file__).parent
+PERFBENCH = SRC.parents[1] / "perfbench"
 LAW_OWNERS = {"channels.py", "config.py"}
+
+# Public names no library module or benchmark uses, kept because each is
+# a quantity or operation of the paper.
+PAPER_API = {
+    "sample_state": "draws the state S that the composite channel holds for a block",
+    "transmit": "one block through the component channel of a realized state",
+    "bec_bc_expected_rate": "the paper's two-state BEC broadcast example",
+    "discrete_expected_rate": "expected rate of a given layered code; the optimizer tests' oracle",
+}
 
 
 def _modules():
@@ -45,3 +59,20 @@ def test_no_isinstance_ladder_on_channel_classes_outside_channels():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
                 named = set(_names(node.args[1]))
                 assert not named & {"DiscreteComposite", "GilbertElliott"}, (name, node.lineno)
+
+
+def test_every_public_name_has_a_caller():
+    used = set()
+    for name, tree in _modules():
+        if name != "__init__.py":
+            used |= set(_names(tree))
+    bench = " ".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    unused = [
+        name for name in chancap.__all__
+        if name != "__version__"
+        and not isinstance(getattr(chancap, name), types.ModuleType)
+        and name not in used
+        and name not in PAPER_API
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert unused == []

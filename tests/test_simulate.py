@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from chancap import (
-    ERASURE,
     BecState,
     BscState,
     ContinuousBscComposite,
@@ -15,8 +14,6 @@ from chancap import (
     GilbertElliott,
     SimResult,
     bsc_capacity,
-    ml_decode,
-    simulate_outage_code,
     simulate_outage_code_sweep,
     simulate_uncoded_bec,
 )
@@ -26,34 +23,8 @@ NOISELESS = DiscreteComposite((BscState(0.0),), [1.0])
 GE_FROZEN = GilbertElliott(0.05, 0.3, g=0.0, b=0.0, pi_good=0.5)
 
 
-def test_ml_decode_bsc():
-    book = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], dtype=np.int8)
-    assert ml_decode(book, np.array([0, 0, 0, 1]), BscState(0.1)) == 0
-    assert ml_decode(book, np.array([1, 1, 0, 1]), BscState(0.1)) == 1
-    assert ml_decode(book, np.array([1, 1, 1, 1]), BscState(0.1)) == 1
-    # ties break to the smallest index
-    assert ml_decode(book, np.array([0, 0, 1, 1]), BscState(0.1)) == 0
-
-
-def test_ml_decode_bec():
-    book = np.array([[0, 0], [1, 0]], dtype=np.int8)
-    assert ml_decode(book, np.array([ERASURE, 0]), BecState(0.5)) == 0
-    assert ml_decode(book, np.array([1, ERASURE]), BecState(0.5)) == 1
-    assert ml_decode(book, np.array([ERASURE, ERASURE]), BecState(0.5)) == 0
-    with pytest.raises(ValueError):
-        ml_decode(np.array([[0, 0]], dtype=np.int8), np.array([1, 1]), BecState(0.5))
-
-
-def test_ml_decode_validation():
-    book = np.array([[0, 0], [1, 1]], dtype=np.int8)
-    with pytest.raises(ValueError):
-        ml_decode(book, np.array([0, 0, 0]), BscState(0.1))
-    with pytest.raises(ValueError):
-        ml_decode(book, np.array([0, 0]), "bsc")
-
-
 def test_simulate_noiseless_decodes_everything():
-    res = simulate_outage_code(NOISELESS, n=20, rate=0.2, q=0.1, trials=2000, seed=0)
+    res = simulate_outage_code_sweep(NOISELESS, [20], rate=0.2, q=0.1, trials=2000, seed=0)[0]
     assert res.outage_rate == 0.0
     assert res.error_rate_given_no_outage == 0.0
     assert res.expected_rate == 0.2
@@ -62,7 +33,7 @@ def test_simulate_noiseless_decodes_everything():
 
 def test_simulate_rate_above_one_forces_errors():
     # 2^{nR} codewords cannot be distinct n-bit blocks when R > 1
-    res = simulate_outage_code(NOISELESS, n=8, rate=1.25, q=0.1, trials=2000, seed=0)
+    res = simulate_outage_code_sweep(NOISELESS, [8], rate=1.25, q=0.1, trials=2000, seed=0)[0]
     assert res.outage_rate == 0.0
     assert res.error_rate_given_no_outage >= 0.9
     assert res.expected_rate == 1.25
@@ -87,18 +58,18 @@ def test_simulate_deterministic():
 
 
 def test_simulate_ml_oracle_dominance():
-    res = simulate_outage_code(GE_FROZEN, n=8, rate=0.15, q=0.5, trials=5000, seed=0, ml_oracle=True)
+    res = simulate_outage_code_sweep(GE_FROZEN, [8], rate=0.15, q=0.5, trials=5000, seed=0, ml_oracle=True)[0]
     assert res.ml_dominance_violations == 0
     assert res.ml_error_rate is not None
     # ML decodes everything; typical-set turns most failures into outages
     assert res.ml_error_rate <= res.outage_rate
-    plain = simulate_outage_code(GE_FROZEN, n=8, rate=0.15, q=0.5, trials=5000, seed=0)
+    plain = simulate_outage_code_sweep(GE_FROZEN, [8], rate=0.15, q=0.5, trials=5000, seed=0)[0]
     assert plain.ml_error_rate is None and plain.ml_dominance_violations is None
 
 
 def test_simulate_continuous_composite():
-    res = simulate_outage_code(ContinuousBscComposite.uniform(), n=16, rate=0.15, q=0.5,
-                               trials=3000, seed=1)
+    res = simulate_outage_code_sweep(ContinuousBscComposite.uniform(), [16], rate=0.15, q=0.5,
+                                     trials=3000, seed=1)[0]
     assert 0.0 <= res.outage_rate <= 1.0
     assert res.expected_rate == res.rate * (1.0 - res.outage_rate)
 
@@ -107,30 +78,35 @@ def test_simulate_validation():
     with pytest.raises(ValueError):
         simulate_outage_code_sweep(NOISELESS, [], rate=0.2, q=0.1, trials=100)
     with pytest.raises(ValueError):
-        simulate_outage_code(NOISELESS, n=0, rate=0.2, q=0.1, trials=100)
+        simulate_outage_code_sweep(NOISELESS, [0], rate=0.2, q=0.1, trials=100)
     with pytest.raises(ValueError):
-        simulate_outage_code(NOISELESS, n=8, rate=0.2, q=0.1, trials=0)
+        simulate_outage_code_sweep(NOISELESS, [8], rate=0.2, q=0.1, trials=0)
     with pytest.raises(ValueError):
-        simulate_outage_code(NOISELESS, n=8, rate=0.0, q=0.1, trials=100)
+        simulate_outage_code_sweep(NOISELESS, [8], rate=0.0, q=0.1, trials=100)
     with pytest.raises(ValueError):
-        simulate_outage_code(NOISELESS, n=8, rate=0.2, q=0.1, trials=100, epsilon=0.0)
+        simulate_outage_code_sweep(NOISELESS, [8], rate=0.2, q=0.1, trials=100, epsilon=0.0)
+    # NaN fails every comparison: a NaN epsilon used to make every trial an outage.
+    with pytest.raises(ValueError, match="rate must be positive"):
+        simulate_outage_code_sweep(NOISELESS, [8], rate=math.nan, q=0.1, trials=100)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        simulate_outage_code_sweep(NOISELESS, [8], rate=0.2, q=0.1, trials=100, epsilon=math.nan)
     with pytest.raises(ValueError):
-        simulate_outage_code(NOISELESS, n=200, rate=0.15, q=0.1, trials=100)
+        simulate_outage_code_sweep(NOISELESS, [200], rate=0.15, q=0.1, trials=100)
     with pytest.raises(ValueError):
-        simulate_outage_code(GilbertElliott(0.05, 0.3, g=0.1, b=0.1, pi_good=0.5),
-                             n=8, rate=0.15, q=0.5, trials=100)
+        simulate_outage_code_sweep(GilbertElliott(0.05, 0.3, g=0.1, b=0.1, pi_good=0.5),
+                                   [8], rate=0.15, q=0.5, trials=100)
     bec = DiscreteComposite((BecState(0.1),), [1.0])
     with pytest.raises(ValueError):
-        simulate_outage_code(bec, n=8, rate=0.15, q=0.1, trials=100)
+        simulate_outage_code_sweep(bec, [8], rate=0.15, q=0.1, trials=100)
 
 
 def test_codebook_draw_guard():
     # One shard would draw 1250 codebooks of 2^20 words of 20 bits
     # (about 26e9 entries); it is refused before anything is drawn.
     with pytest.raises(ValueError, match="memory budget"):
-        simulate_outage_code(NOISELESS, n=20, rate=1.0, q=0.1, trials=10000)
+        simulate_outage_code_sweep(NOISELESS, [20], rate=1.0, q=0.1, trials=10000)
     # The largest draw elsewhere in the suite (250 x 1024 x 8) still runs.
-    simulate_outage_code(NOISELESS, n=8, rate=1.25, q=0.1, trials=2000, seed=0)
+    simulate_outage_code_sweep(NOISELESS, [8], rate=1.25, q=0.1, trials=2000, seed=0)
 
 
 def _unpack_words(words, n):
@@ -168,14 +144,14 @@ def test_packed_distances_match_int8_oracle(n, size, m, seed):
 
 def test_simulate_blocklength_above_64():
     # Two words per codeword.  Noiseless: every trial decodes.
-    res = simulate_outage_code(NOISELESS, n=100, rate=0.05, q=0.1, trials=2000, seed=0)
+    res = simulate_outage_code_sweep(NOISELESS, [100], rate=0.05, q=0.1, trials=2000, seed=0)[0]
     assert res.outage_rate == 0.0 and res.error_rate_given_no_outage == 0.0
     # BSC(0.1): the sent codeword passes at d <= 10 of all 100 bits (10 of
     # only the first 64 would make outages about 8 times rarer), and a
     # uniform wrong codeword passes with probability P(Bin(100, 1/2) <= 10).
     p, n, trials, delta = 0.1, 100, 4000, 1e-6
     bsc = DiscreteComposite((BscState(p),), [1.0])
-    res = simulate_outage_code(bsc, n=n, rate=0.05, q=0.1, trials=trials, seed=0)
+    res = simulate_outage_code_sweep(bsc, [n], rate=0.05, q=0.1, trials=trials, seed=0)[0]
     d = np.arange(n + 1)
     dens = 1.0 + (d / n) * np.log2(p) + (1.0 - d / n) * np.log2(1.0 - p)
     passing = d[dens >= bsc_capacity(p) - 0.01].max()
