@@ -10,6 +10,7 @@ rerunning a command with the same config is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -256,7 +257,13 @@ def _plot_script(csv_path: str, header: list[str]) -> str:
     ]) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Reusing it is safe: `parse_args` returns a fresh namespace each call
+    and every flag defaults to None, so no call sees another's values.
+    """
     parser = argparse.ArgumentParser(
         prog="chancap",
         description="Capacity metrics for composite channels with receiver side information.",

@@ -337,8 +337,7 @@ def discretize_density(density, n_states: int) -> tuple[np.ndarray, np.ndarray]:
     top = density.support_sup()
     edges = np.linspace(0.0, top, n_states + 1)
     p = edges[1:]
-    w = np.array([density.cdf(edges[i + 1]) - density.cdf(edges[i]) for i in range(n_states)])
-    w = np.maximum(w, 0.0)
+    w = np.maximum(np.diff(density.cdf(edges)), 0.0)
     s = w.sum()
     if s <= 0.0:
         raise ValueError("discretize_density: density carries no mass on its support")

@@ -144,8 +144,8 @@ def simulate_outage_code_sweep(
     # Written as "not (in range)" so that NaN fails the checks.
     if not rate > 0.0:
         raise ValueError("simulate: rate must be positive")
-    if not epsilon > 0.0:
-        raise ValueError("simulate: epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("simulate: epsilon must be positive and finite")
     shards = min(_SHARDS, trials)
     sizes = _shard_sizes(trials, shards)
     for n in ns:

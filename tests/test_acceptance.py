@@ -19,7 +19,6 @@ from chancap import (
     BroadcastCodeSpec,
     bc_to_expected,
     bec_bc_expected_rate,
-    best_outage_rate,
     binary_entropy,
     bsc_capacity,
     canonical_subsets,

@@ -249,6 +249,21 @@ def test_spectrum_csv_bytes_frozen(tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SPECTRUM_BEC_SHA256
 
 
+def test_parser_reuse_leaks_nothing_between_calls(capsys):
+    # `main` parses every argv with one parser per process: a flag set in
+    # one call, or an argv argparse rejected, must not reach the next.
+    assert main(["spectrum", "--seed", "7", "--trials", "50", "--grid", "5"]) == 0
+    assert "seed=7" in capsys.readouterr().out.splitlines()[0]
+    assert main(["spectrum", "--trials", "50", "--grid", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# chancap spectrum :: grid=5 seed=0 trials=50"
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-subcommand"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["spectrum"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SPECTRUM_DEFAULT_SHA256
+
+
 # sha256 of the `chancap capacity` CSV at its default q grid, one per
 # channel: the uniform law, frozen and ergodic Gilbert-Elliott, a BEC
 # mixture, and BSC mixtures with a zero-mass atom and with tied
@@ -315,6 +330,7 @@ def test_nan_inputs_exit_2(tmp_path, capsys):
     # NaN fails every comparison, so each range check is "not (in range)".
     for sub, text, word in (
         ("simulate", "family=ge\np_good=0.05\np_bad=0.3\nepsilon=nan\n", "epsilon must be positive"),
+        ("simulate", "family=ge\np_good=0.05\np_bad=0.3\nepsilon=inf\n", "epsilon must be positive and finite"),
         ("simulate", "family=ge\np_good=0.05\np_bad=0.3\nrate=nan\n", "rate must be positive"),
         ("spectrum", "family=ge\np_good=0.05\np_bad=0.3\nalpha_grid=nan,0.5\n", "finite"),
         ("broadcast", "mode=gamma\ngammas=1,inf\n", "finite"),

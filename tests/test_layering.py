@@ -69,6 +69,12 @@ def _beta(a, b, top=0.4, num=1025):
     return _normalized(g, beta.pdf(g / top, a, b))
 
 
+def _two_bumps():
+    g = np.linspace(0.0, 0.4, 1025)
+    f = 0.3 * np.exp(-0.5 * ((g - 0.1) / 0.02) ** 2) + 0.7 * np.exp(-0.5 * ((g - 0.25) / 0.02) ** 2)
+    return _normalized(g, f)
+
+
 def _brentq_euler_r(p, density):
     """The per-point Euler solve the array bisection replaced: Brent's
     method on LHS(p * r) = RHS(p), NaN where r = 0 and r = 1/2 give no
@@ -305,10 +311,8 @@ def test_expected_capacity_sandwich_on_beta(a, b):
 def test_expected_capacity_rejects_answer_below_outage_rate():
     # Two separated bands: the single-band Euler solve gives 0.1240
     # against a best outage rate of 0.1410.
-    g = np.linspace(0.0, 0.4, 1025)
-    bumps = 0.3 * np.exp(-0.5 * ((g - 0.1) / 0.02) ** 2) + 0.7 * np.exp(-0.5 * ((g - 0.25) / 0.02) ** 2)
     with pytest.raises(SolverError, match="below the best outage rate"):
-        expected_capacity_continuous(_normalized(g, bumps))
+        expected_capacity_continuous(_two_bumps())
 
 
 def test_ge_expected_capacity_degenerate():
@@ -651,6 +655,18 @@ def test_discretize_density():
     assert np.array_equal(w, [0.25, 0.25, 0.25, 0.25])
     with pytest.raises(ValueError):
         discretize_density(UNIFORM, 0)
+
+
+@pytest.mark.parametrize("density", [UNIFORM, _two_bumps()], ids=["uniform", "two_bumps"])
+@pytest.mark.parametrize("n_states", [7, 8, 16, 33, 64, 1024, 4096])
+def test_discretize_density_matches_scalar_cdf_differences(density, n_states):
+    # One array cdf call must give the cell masses of the per-edge
+    # scalar differences to the last bit.
+    edges = np.linspace(0.0, density.support_sup(), n_states + 1)
+    w = np.maximum([density.cdf(edges[i + 1]) - density.cdf(edges[i]) for i in range(n_states)], 0.0)
+    got_w, got_p = discretize_density(density, n_states)
+    assert np.array_equal(got_w, w / w.sum())
+    assert np.array_equal(got_p, edges[1:])
 
 
 @pytest.mark.parametrize("n_states", [64, 1024])

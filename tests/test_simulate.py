@@ -90,6 +90,10 @@ def test_simulate_validation():
         simulate_outage_code_sweep(NOISELESS, [8], rate=math.nan, q=0.1, trials=100)
     with pytest.raises(ValueError, match="epsilon must be positive"):
         simulate_outage_code_sweep(NOISELESS, [8], rate=0.2, q=0.1, trials=100, epsilon=math.nan)
+    # An infinite epsilon makes the threshold -inf, so every codeword
+    # used to pass and the sweep reported a rate no trial delivered.
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        simulate_outage_code_sweep(NOISELESS, [8], rate=0.2, q=0.1, trials=100, epsilon=math.inf)
     with pytest.raises(ValueError):
         simulate_outage_code_sweep(NOISELESS, [200], rate=0.15, q=0.1, trials=100)
     with pytest.raises(ValueError):
