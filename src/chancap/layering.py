@@ -31,8 +31,18 @@ from .channels import (
 # to x = 1/2.
 _LHS_LIMIT_BAND = 1e-6
 
-# Halvings of [0, 1/2] in the Euler solve: 0.5 / 2**50 < 5e-16.
-_EULER_BISECTIONS = 50
+# sinh(y)/y - 1 = t P(t) with t = y**2 and P(t) = sum_k t**(k-1)/(2k+1)!
+# for k = 1..8, highest power first; for t <= 1 the first omitted term
+# is below 1e-17.  _SINHC_SLOPE is the same series for d/dt of t P(t).
+_SINHC_SERIES = np.array([1.0 / math.factorial(2 * k + 1) for k in range(8, 0, -1)])
+_SINHC_SLOPE = _SINHC_SERIES * np.arange(8, 0, -1)
+
+# The Newton solves stop once no step moved its iterate by more than
+# this fraction: convergence is quadratic, so the error left is below
+# rounding.  Over s in [1, 1e300] they stop within 4 steps; the cap
+# only bounds the loop.
+_NEWTON_RTOL = 1e-8
+_NEWTON_MAX_STEPS = 8
 
 # p grid on which find_cutoffs brackets each cutoff before polishing.
 _CUTOFF_SCAN_POINTS = 4096
@@ -348,9 +358,11 @@ def euler_lhs(x):
     """LHS of the Euler condition: [1/x - 1/(1-x)] / ln((1-x)/x).
 
     Natural logs: the Euler-Lagrange derivation cancels the log base
-    from this ratio, and the removable singularity at x = 1/2 has the
-    limit 2 (matching the p_u condition RHS = 2).  Decreasing in x.
-    Accepts scalars or arrays.
+    from this ratio.  With y = ln(1/x - 1), 1 - 2x = tanh(y/2) and
+    x (1-x) = 1/(4 cosh^2(y/2)), so the ratio is 2 sinh(y)/y: the
+    removable singularity at x = 1/2 is y = 0, with the limit 2
+    (matching the p_u condition RHS = 2).  Decreasing in x.  Accepts
+    scalars or arrays.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr <= 0.5)):
@@ -372,25 +384,77 @@ def euler_rhs(p, density):
     return ((1.0 - 2.0 * p) * density.pdf(p) - 2.0 * big_f) / big_f
 
 
+def _newton(x: np.ndarray, step) -> np.ndarray:
+    """Newton iteration x <- x - step(x) on a whole array, until no
+    point moves by more than _NEWTON_RTOL of its value."""
+    for _ in range(_NEWTON_MAX_STEPS):
+        dx = step(x)
+        x = x - dx
+        if np.all(np.abs(dx) <= _NEWTON_RTOL * x):
+            break
+    return x
+
+
+def _inverse_sinhc(s: np.ndarray) -> np.ndarray:
+    """The root y >= 0 of sinh(y)/y = s for an array of s >= 1.
+
+    Both branches run Newton on a convex increasing function, which
+    reaches its root from above after at most one step from below, so
+    any positive start converges.
+
+    - s <= sinh(1), so y <= 1: the polynomial t P(t) = s - 1 in
+      t = y**2 (_SINHC_SERIES), started at 6 (s-1)/(1 + 0.3 (s-1)).
+      It keeps full relative precision as s approaches 1, and s = 1
+      gives y = 0 exactly.
+    - s > sinh(1): ln(sinh(y)/y) = ln s in y, written
+      y + log1p(-e^(-2y)) - ln(2y) so that nothing overflows, started
+      at the larger of sqrt(6 ln s), a lower bound, and the large-s
+      estimate ln(2s) + ln(ln(2s) + ln ln(2s)).
+
+    The result is nondecreasing in s up to rounding.
+    """
+    y = np.empty(s.shape)
+    near = s <= math.sinh(1.0)
+    d = s[near] - 1.0
+
+    def poly_step(t):
+        return (t * np.polyval(_SINHC_SERIES, t) - d) / np.polyval(_SINHC_SLOPE, t)
+
+    y[near] = np.sqrt(_newton(6.0 * d / (1.0 + 0.3 * d), poly_step))
+
+    log_s = np.log(s[~near])
+    big = log_s + math.log(2.0)
+    start = np.maximum(np.sqrt(6.0 * log_s), big + np.log(big + np.log(big)))
+
+    def log_step(v):
+        e = np.exp(-2.0 * v)
+        # d/dy ln(sinh(y)/y) = coth(y) - 1/y
+        return (v + np.log1p(-e) - np.log(2.0 * v) - log_s) / ((1.0 + e) / (1.0 - e) - 1.0 / v)
+
+    y[~near] = _newton(start, log_step)
+    return y
+
+
 def _euler_r(p: np.ndarray, density) -> np.ndarray:
     """Pointwise Euler solutions r(p) in [0, 1/2] for an array of p.
 
-    The LHS at p * r decreases in r, so where the residual changes sign
-    between r = 0 and r = 1/2 the root is unique; _EULER_BISECTIONS
-    halvings of [0, 1/2], done for every point at once, leave it within
-    5e-16.  Points without a sign change lie outside the cutoff band
-    and get NaN (callers map it to 0 below p_l, 1/2 above p_u).
+    The LHS at x = p * r is 2 sinh(y)/y with y = ln(1/x - 1)
+    (euler_lhs), so LHS(p * r) = RHS(p) is sinh(y)/y = RHS(p)/2, one
+    monotone equation in y whose form does not depend on p.  Its root
+    (_inverse_sinhc) gives x = 1/2 - tanh(y/2)/2 and
+    r = (x - p)/(1 - 2p).  The root lies in [0, 1/2] exactly where the
+    residual changes sign between r = 0 and r = 1/2; points without a
+    sign change lie outside the cutoff band and get NaN (callers map it
+    to 0 below p_l, 1/2 above p_u).
     """
     rhs = euler_rhs(p, density)
     # Residual positive at r = 0, negative at r = 1/2 (where the LHS is 2).
     inside = (euler_lhs(np.maximum(p, EPS)) > rhs) & (rhs > 2.0)
-    slope = 1.0 - 2.0 * p  # p * r = p + slope * r
-    r, half = np.zeros(p.shape), 0.5
-    for _ in range(_EULER_BISECTIONS):
-        half *= 0.5
-        mid = r + half
-        np.copyto(r, mid, where=euler_lhs(p + slope * mid) > rhs)
-    return np.where(inside, r + half, np.nan)
+    x = 0.5 - 0.5 * np.tanh(0.5 * _inverse_sinhc(0.5 * rhs[inside]))
+    p_in = p[inside]
+    r = np.full(p.shape, np.nan)
+    r[inside] = (x - p_in) / (1.0 - 2.0 * p_in)
+    return r
 
 
 def solve_euler_r(p: float, density) -> float:
@@ -405,7 +469,7 @@ def find_cutoffs(density) -> CutoffPair:
     p_u solves RHS(p) = 2 (the LHS limit at r = 1/2) and p_l solves
     LHS(p) = RHS(p) (the r = 0 boundary); each root is bracketed by the
     first sign change in its declared direction on a scan grid and
-    polished by bisection to 1e-8.
+    polished by Brent's method (brentq) to xtol 1e-8.
     """
     # Imported here: scipy.optimize adds about 48 MB of resident memory
     # and 0.5 s to a process that has imported chancap, and only the

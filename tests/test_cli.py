@@ -129,6 +129,22 @@ def test_broadcast_gamma(tmp_path, capsys):
     assert np.all(data[:, 2] <= data[:, 1])
 
 
+# sha256 of `chancap broadcast` on the uniform law: the default layer
+# profile and mode=gamma at its default gammas.
+BROADCAST_SHA256 = {
+    "": "65784e22fc9f661cb540900d46dec958ade35f3a386e613b5f93875517d87343",
+    "family=uniform\nmode=gamma\n": "f8537351062d36c328a4f2fd2782d951e39c039bd5fc7601c3ca42015ecc15c6",
+}
+
+
+@pytest.mark.parametrize("config", list(BROADCAST_SHA256))
+def test_broadcast_csv_bytes_frozen(tmp_path, capsys, config):
+    cfg = tmp_path / "bc.cfg"
+    cfg.write_text(config)
+    assert main(["broadcast", "--config", str(cfg)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BROADCAST_SHA256[config]
+
+
 def test_broadcast_rejects_discrete(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family=bsc\nstates=0.1\npmf=1\n")

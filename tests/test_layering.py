@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -75,8 +76,13 @@ def _two_bumps():
     return _normalized(g, f)
 
 
+def _smooth_bump():
+    g = np.linspace(0.0, 0.5, 257)
+    return _normalized(g, 0.3 + np.exp(-(((g - 0.15) / 0.06) ** 2)))
+
+
 def _brentq_euler_r(p, density):
-    """The per-point Euler solve the array bisection replaced: Brent's
+    """A per-point Euler solve independent of the closed form: Brent's
     method on LHS(p * r) = RHS(p), NaN where r = 0 and r = 1/2 give no
     sign change."""
     rhs = euler_rhs(p, density)
@@ -134,12 +140,48 @@ def test_solve_euler_r():
     (_triangle(), 1025),
     (_truncated_exponential(), 1025),
     (_beta(2.0, 3.0), 1025),
+    (_two_bumps(), 1025),
+    (_smooth_bump(), 1025),
 ])
 def test_solve_layering_matches_brentq_oracle(density, num):
     layer = solve_layering(density, num=num)
     grid, r = _brentq_layering(density, num)
     assert np.array_equal(layer.grid, grid)
     assert np.max(np.abs(layer.r - r)) <= 1e-11
+
+
+def _log_sinhc(y):
+    """ln(sinh(y)/y) to 60 digits, from the float y."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v = Decimal(y)
+        return ((v.exp() - (-v).exp()) / (2 * v)).ln() if v else Decimal(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1.0, 1e300), min_size=1, max_size=8))
+@example([1.0, 1.0 + 1e-15, 2.0, 1e300])
+@example([1.0])
+@example([1.0 + 1e-15])
+@example([2.0])
+@example([1e300])
+def test_inverse_sinhc_property(s):
+    # The closed-form Euler solve inverts sinh(y)/y = s.  y must be
+    # finite, >= 0 and nondecreasing in s, and ln(sinh(y)/y) must match
+    # ln(s) to 1e-14 relative (s = 1: y = 0).  The solver evaluates
+    # ln(sinh(y)/y) to about 6e-16 relative, so s values a few ulps
+    # apart can give y a few ulps apart in either order: monotonicity
+    # is checked up to 2e-15 relative.
+    s = np.sort(np.array(s))
+    y = layering._inverse_sinhc(s)
+    assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
+    assert np.all(y[:-1] <= y[1:] * (1.0 + 2e-15))
+    for si, yi in zip(s.tolist(), y.tolist()):
+        want = Decimal(si).ln()
+        if si == 1.0:
+            assert yi == 0.0
+        else:
+            assert abs(_log_sinhc(yi) - want) <= Decimal(1e-14) * want
 
 
 def test_euler_sides_accept_arrays():
