@@ -32,9 +32,10 @@ from .spectrum import EmpiricalCdf, cdf_quantile
 # Mass comparisons at pmf atoms tolerate accumulated float error.
 _ATOM_TOL = 1e-12
 
-# q grid of the continuous best-outage scan, before golden-section
-# refinement.
+# Steps of the continuous best-outage scan of [0, 1) and of each rescan;
+# two rescans leave a step of at most 2**-28 (4e-9) in q.
 _OUTAGE_SCAN_POINTS = 1024
+_OUTAGE_RESCANS = 2
 
 
 @dataclass(frozen=True)
@@ -144,29 +145,19 @@ def best_outage_rate(composite) -> tuple[float, float]:
     Atoms: C_q is a right-continuous step function whose pieces start
     at cumulative masses, and (1-q) decreases, so the supremum is
     attained exactly at an atom boundary; those candidates are
-    enumerated directly.  Continuous densities: coarse grid scan
-    followed by bounded golden-section refinement (tolerance 1e-6 in q).
+    enumerated directly.  Densities: an array scan of q, then rescans of
+    the two cells around the best q.  A rescan keeps every earlier point
+    of its bracket, ends included: the value never decreases.
     """
     law = state_law(composite)
     if isinstance(law, ContinuousBscComposite):
-        # Imported here: scipy.optimize adds about 48 MB of resident
-        # memory and 0.5 s to a process that has imported chancap, and
-        # only the continuous solvers use it.
-        from scipy.optimize import minimize_scalar
-
         qs = np.linspace(0.0, 1.0, _OUTAGE_SCAN_POINTS, endpoint=False)
-        vals = (1.0 - qs) * _c_q(composite, qs)
-        k = int(np.argmax(vals))
-        lo = qs[max(k - 1, 0)]
-        hi = qs[min(k + 1, qs.size - 1)]
-        res = minimize_scalar(
-            lambda q: -(1.0 - q) * capacity_vs_outage(composite, q),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-6},
-        )
-        q_star = float(res.x)
-        return q_star, (1.0 - q_star) * capacity_vs_outage(composite, q_star)
+        for _ in range(_OUTAGE_RESCANS + 1):
+            vals = (1.0 - qs) * _c_q(law, qs)
+            k = int(np.argmax(vals))
+            best_q, best_v = float(qs[k]), float(vals[k])
+            qs = np.linspace(qs[max(k - 1, 0)], qs[min(k + 1, qs.size - 1)], _OUTAGE_SCAN_POINTS + 1)
+        return best_q, best_v
     masses = np.concatenate([[0.0], np.cumsum(_worst_first(law)[1])])
     candidates = masses[masses < 1.0 - _ATOM_TOL]
     values = (1.0 - candidates) * _c_q(law, candidates)

@@ -191,17 +191,17 @@ class ContinuousBscComposite:
     """BSC with random crossover probability on [0, 1/2].
 
     The density f(p) lives on a uniform grid; F(p) is its trapezoid
-    cumulative.  The `uniform` preset keeps exact closed forms
-    (f = 2, F(p) = 2p) so analytic comparisons are not polluted by
-    quadrature error.  The composite is its own state law.
+    cumulative.  f = 2 on a grid from 0 to 1/2 is the uniform law, with
+    `analytic_preset` "uniform": exact closed forms (f = 2, F(p) = 2p),
+    free of quadrature error.  The composite is its own state law.
     """
 
     family = "bsc"
 
     grid: np.ndarray
     density: np.ndarray
-    analytic_preset: str | None = None
-    _cum: np.ndarray = field(repr=False, default=None)
+    analytic_preset: str | None = field(init=False, default=None)
+    _cum: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -218,12 +218,13 @@ class ContinuousBscComposite:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "density", f)
         object.__setattr__(self, "_cum", cum)
+        if g[0] == 0.0 and g[-1] == 0.5 and np.all(f == 2.0):
+            object.__setattr__(self, "analytic_preset", "uniform")
 
     @classmethod
     def uniform(cls, num: int = 2049) -> "ContinuousBscComposite":
         """Uniform crossover density f = 2 on [0, 1/2]."""
-        g = np.linspace(0.0, 0.5, num)
-        return cls(g, np.full(num, 2.0), analytic_preset="uniform")
+        return cls(np.linspace(0.0, 0.5, num), np.full(num, 2.0))
 
     def pdf(self, p):
         if self.analytic_preset == "uniform":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import limit_spectrum_cdf, mean_state_capacity, outage_curve
-from .channels import ContinuousBscComposite, state_law
+from .channels import state_law
 from .codemap import BroadcastCodeSpec, bc_to_expected, expected_to_bc, subset_weighted_rate
 from .config import ConfigError, RunConfig, build_channel, load_config
 from .layering import (
@@ -89,8 +89,6 @@ def cmd_spectrum(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
 def cmd_broadcast(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
     """Layering output: (p, r, R) profile or a gamma sweep of parametric families."""
     channel = build_channel(cfg.raw, base_dir)
-    if not isinstance(channel, ContinuousBscComposite):
-        raise ConfigError("broadcast: needs a continuous crossover density (family=uniform or density)")
     mode = cfg.raw.get("mode", "profile")
     if mode == "profile":
         prof = solve_layering(channel)

@@ -122,9 +122,11 @@ def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
                 path = base_dir / path
             grid, dens = [], []
             with open(path, newline="") as fh:
-                for row in csv.reader(fh):
+                for lineno, row in enumerate(csv.reader(fh), start=1):
                     if not row or row[0].lstrip().startswith("#"):
                         continue
+                    if len(row) < 2:
+                        raise ConfigError(f"{path} row {lineno}: expected p,f(p), got {','.join(row)!r}")
                     grid.append(float(row[0]))
                     dens.append(float(row[1]))
             return ContinuousBscComposite(np.asarray(grid), np.asarray(dens))

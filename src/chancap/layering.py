@@ -463,6 +463,12 @@ def solve_euler_r(p: float, density) -> float:
     return float(_euler_r(np.array([p], dtype=float), density)[0])
 
 
+def _require_density(channel, caller: str) -> None:
+    """The Euler layering needs a continuous crossover density."""
+    if not isinstance(state_law(channel), ContinuousBscComposite):
+        raise ValueError(f"{caller}: needs a continuous crossover density, not {type(channel).__name__}")
+
+
 def find_cutoffs(density) -> CutoffPair:
     """Cutoff probabilities: r(p_l) = 0 and r(p_u) = 1/2 boundaries.
 
@@ -471,9 +477,9 @@ def find_cutoffs(density) -> CutoffPair:
     first sign change in its declared direction on a scan grid and
     polished by Brent's method (brentq) to xtol 1e-8.
     """
+    _require_density(density, "find_cutoffs")
     # Imported here: scipy.optimize adds about 48 MB of resident memory
-    # and 0.5 s to a process that has imported chancap, and only the
-    # continuous solvers use it.
+    # and 0.5 s to a process that has imported chancap.
     from scipy.optimize import brentq
 
     p_min = max(float(density.grid[0]), 1e-9)
@@ -602,6 +608,7 @@ def parametric_profile(density, family: str, gamma: float, num: int = 4097) -> L
     "optimal-cutoff": r = ((p - p_l)/(p_u - p_l))^gamma / 2 on the
     solved cutoff band.  "full-range": r = (2p)^gamma / 2 on [0, 1/2].
     """
+    _require_density(density, "parametric_profile")
     # Written as "not (in range)" so that NaN fails the check.  An
     # infinite gamma is a step at the top of the band, which the
     # finite-difference rate profile cannot integrate.

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from chancap import (
     BecState,
@@ -124,6 +125,60 @@ def test_best_outage_rate_uniform():
     f = lambda q: (1.0 - q) * capacity_vs_outage(UNIFORM, q)
     assert f(q_star) >= f(q_star - eps) - 1e-12
     assert f(q_star) >= f(q_star + eps) - 1e-12
+
+
+def _gridded(f, top, num):
+    g = np.linspace(0.0, top, num)
+    dens = f(g / top)
+    return ContinuousBscComposite(g, dens / np.trapezoid(dens, g))
+
+
+# One density of each kind the benchmark draws, on its grid sizes.
+OUTAGE_LAWS = {
+    "uniform": UNIFORM,
+    "beta": _gridded(lambda x: x ** 1.6 * (1.0 - x) ** 2.3, 0.42, 1025),
+    "triangle": _gridded(lambda x: 1.0 - x, 0.45, 2049),
+    "truncexp": _gridded(lambda x: np.exp(-2.4 * x), 0.35, 513),
+    "twobump": _gridded(
+        lambda x: 0.4 * np.exp(-0.5 * ((x - 0.3) / 0.1) ** 2) + 0.6 * np.exp(-0.5 * ((x - 0.7) / 0.12) ** 2),
+        0.4, 1025,
+    ),
+}
+
+
+def _golden_section_best_outage(law):
+    """The former density branch of best_outage_rate: the 1024-point
+    scan, then bounded Brent on scalar C_q calls (xatol 1e-6)."""
+    qs = np.linspace(0.0, 1.0, 1024, endpoint=False)
+    k = int(np.argmax(outage_curve(law, qs).outage_capacity))
+    res = minimize_scalar(
+        lambda q: -(1.0 - q) * capacity_vs_outage(law, q),
+        bounds=(qs[max(k - 1, 0)], qs[min(k + 1, qs.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-6},
+    )
+    return float(res.x), -float(res.fun)
+
+
+@pytest.mark.parametrize("name", list(OUTAGE_LAWS))
+def test_best_outage_rate_density_matches_oracles(name):
+    law = OUTAGE_LAWS[name]
+    q_star, value = best_outage_rate(law)
+    q_oracle, v_oracle = _golden_section_best_outage(law)
+    assert value >= v_oracle - 1e-12
+    assert q_star == pytest.approx(q_oracle, abs=1e-5)
+    fine = outage_curve(law, np.linspace(0.0, 1.0, 2 ** 16, endpoint=False))
+    assert value >= fine.outage_capacity.max() - 1e-12
+    assert value == (1.0 - q_star) * capacity_vs_outage(law, q_star)
+
+
+def test_best_outage_rate_density_optimum_at_q_0():
+    # f ~ p^3 on [0, 0.2]: the worst state carries almost no mass, so no
+    # outage is best.  q = 0 is a bracket end, which a golden-section
+    # polish never evaluates (it returned q = 3.8e-7, 6.8e-8 low).
+    g = np.linspace(0.0, 0.2, 1025)
+    cubic = ContinuousBscComposite(g, g ** 3 / np.trapezoid(g ** 3, g))
+    assert best_outage_rate(cubic) == (0.0, bsc_capacity(0.2))
 
 
 def test_best_outage_rate_ergodic_ge():

@@ -102,12 +102,28 @@ def test_binary_entropy_scalar_returns_float():
     assert isinstance(binary_entropy([0.3]), np.ndarray)
 
 
-def test_import_loads_no_scipy():
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded in a fresh interpreter after `code`."""
     src = str(Path(chancap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, chancap; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import chancap") == "[]"
+
+
+def test_best_outage_rate_loads_no_scipy():
+    # The continuous best outage rate is array scans of C_q; only the
+    # Euler layering's cutoff polish imports scipy.optimize.
+    code = (
+        "import chancap\n"
+        "u = chancap.ContinuousBscComposite.uniform()\n"
+        "chancap.best_outage_rate(u); chancap.expected_capacity_bounds(u)"
+    )
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_star_values():
@@ -189,6 +205,21 @@ def test_uniform_density():
     # density integrates to one on its grid
     assert np.trapezoid(u.density, u.grid) == pytest.approx(1.0, abs=1e-9)
 
+
+
+def test_uniform_preset_is_derived_from_the_density():
+    grid = np.linspace(0.0, 0.5, 101)
+    assert ContinuousBscComposite(grid, np.full(101, 2.0)).analytic_preset == "uniform"
+    tri = ContinuousBscComposite(grid, 8.0 * (0.5 - grid))
+    assert tri.analytic_preset is None
+    shifted = np.linspace(0.1, 0.4, 51)
+    assert ContinuousBscComposite(shifted, np.full(51, 1.0 / 0.3)).analytic_preset is None
+    # A preset passed in used to replace the triangle's own C_q and cdf
+    # with the uniform law's.
+    with pytest.raises(TypeError):
+        ContinuousBscComposite(grid, 8.0 * (0.5 - grid), analytic_preset="uniform")
+    with pytest.raises(TypeError):
+        ContinuousBscComposite(grid, np.full(101, 2.0), _cum=2.0 * grid)
 
 def test_density_validation():
     grid = np.linspace(0.1, 0.4, 51)

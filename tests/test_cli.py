@@ -392,3 +392,42 @@ def test_solver_failure_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: optimize_discrete:")
+
+
+def test_density_file_with_one_column_exits_2(tmp_path, capsys):
+    dens = tmp_path / "dens.csv"
+    dens.write_text("0.0,2.0\n0.25\n0.5,2.0\n")
+    cfg = tmp_path / "dens.cfg"
+    cfg.write_text(f"family=density\ndensity_file={dens}\n")
+    assert main(["capacity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "row 2" in captured.err
+
+
+def test_constant_density_file_is_the_uniform_law(tmp_path, capsys):
+    dens = tmp_path / "dens.csv"
+    dens.write_text("".join(f"{p},2.0\n" for p in np.linspace(0.0, 0.5, 101).tolist()))
+    cfg = tmp_path / "dens.cfg"
+    cfg.write_text(f"family=density\ndensity_file={dens}\n")
+    assert main(["capacity", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out.splitlines()
+    cfg.write_text("family=uniform\ndensity_grid=101\n")
+    assert main(["capacity", "--config", str(cfg)]) == 0
+    preset = capsys.readouterr().out.splitlines()
+    assert from_file[1:] == preset[1:]
+
+
+def test_capacity_of_density_without_certified_layering_exits_2(tmp_path, capsys):
+    # f ~ p^3 on [0, 0.2]: the cutoff scan finds no p_l crossing, and
+    # the single-band solve falls below the best outage rate 1 - h(0.2).
+    g = np.linspace(0.0, 0.2, 1025)
+    f = g ** 3 / np.trapezoid(g ** 3, g)
+    dens = tmp_path / "cubic.csv"
+    dens.write_text("".join(f"{p},{v}\n" for p, v in zip(g.tolist(), f.tolist())))
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text(f"family=density\ndensity_file={dens}\n")
+    assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected_capacity_continuous: below the best outage rate")

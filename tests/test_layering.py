@@ -355,6 +355,32 @@ def test_expected_capacity_rejects_answer_below_outage_rate():
     # against a best outage rate of 0.1410.
     with pytest.raises(SolverError, match="below the best outage rate"):
         expected_capacity_continuous(_two_bumps())
+    # f ~ p^3 on [0, 0.2]: the p_l residual is positive only at the first
+    # scan point and RHS - 2 never crosses 0, so the cutoffs fall back to
+    # the support edges.  The solve then misses the best outage rate
+    # 1 - h(0.2), which the 4096-state ladder reaches.
+    g = np.linspace(0.0, 0.2, 1025)
+    cubic = _normalized(g, g ** 3)
+    assert find_cutoffs(cubic) == CutoffPair(p_l=1e-9, p_u=0.2)
+    with pytest.raises(SolverError, match="below the best outage rate"):
+        expected_capacity_continuous(cubic)
+
+
+@pytest.mark.parametrize("channel", [
+    GilbertElliott(0.05, 0.3, 0.0, 0.0, 0.14),
+    DiscreteComposite((BscState(0.05), BscState(0.3)), [0.5, 0.5]),
+])
+def test_continuous_layering_rejects_atoms(channel):
+    calls = (
+        lambda: find_cutoffs(channel),
+        lambda: solve_layering(channel),
+        lambda: expected_capacity_continuous(channel),
+        lambda: parametric_expected_rate(channel, "optimal-cutoff", 1.0),
+        lambda: parametric_expected_rate(channel, "full-range", 1.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="needs a continuous crossover density"):
+            call()
 
 
 def test_ge_expected_capacity_degenerate():

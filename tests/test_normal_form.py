@@ -76,3 +76,22 @@ def test_every_public_name_has_a_caller():
         and not re.search(rf"\b{name}\b", bench)
     ]
     assert unused == []
+
+
+def test_no_unused_imports():
+    # The package's __init__ imports names only to re-export them.
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []
