@@ -35,6 +35,7 @@ from .capacity import (
     shannon_capacity,
 )
 from .layering import (
+    FULL_RANGE,
     CutoffPair,
     LayerProfile,
     RateProfile,

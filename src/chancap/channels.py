@@ -191,9 +191,10 @@ class ContinuousBscComposite:
     """BSC with random crossover probability on [0, 1/2].
 
     The density f(p) lives on a uniform grid; F(p) is its trapezoid
-    cumulative.  f = 2 on a grid from 0 to 1/2 is the uniform law, with
-    `analytic_preset` "uniform": exact closed forms (f = 2, F(p) = 2p),
-    free of quadrature error.  The composite is its own state law.
+    cumulative, scaled to end at exactly 1.  f = 2 on a grid from 0 to
+    1/2 is the uniform law, with `analytic_preset` "uniform": exact
+    closed forms (f = 2, F(p) = 2p), free of quadrature error.  The
+    composite is its own state law.
     """
 
     family = "bsc"
@@ -217,7 +218,8 @@ class ContinuousBscComposite:
             raise ValueError("ContinuousBscComposite: density must integrate to 1 within 1e-9")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "density", f)
-        object.__setattr__(self, "_cum", cum)
+        # So that inverse_cdf(1) is the support edge, not past the grid.
+        object.__setattr__(self, "_cum", cum / cum[-1])
         if g[0] == 0.0 and g[-1] == 0.5 and np.all(f == 2.0):
             object.__setattr__(self, "analytic_preset", "uniform")
 
@@ -254,15 +256,14 @@ class ContinuousBscComposite:
             lo, hi = self._cum[idx - 1], self._cum[idx]
             frac = np.where(hi > lo, (u_arr - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
             out = self.grid[idx - 1] + frac * (self.grid[idx] - self.grid[idx - 1])
-            out = np.where(u_arr <= self._cum[0], self.grid[0], out)
         return float(out[0]) if np.isscalar(u) else out
 
     def support_sup(self) -> float:
-        """Supremum of {p : f(p) > 0}."""
+        """Supremum of {p : pdf(p) > 0}, one grid point past the last f > 0."""
         pos = np.nonzero(self.density > 0.0)[0]
         if pos.size == 0:
             raise ValueError("ContinuousBscComposite: density is identically zero")
-        return float(self.grid[pos[-1]])
+        return float(self.grid[min(pos[-1] + 1, self.grid.size - 1)])
 
     def sample(self, rng, size: int) -> np.ndarray:
         return self.inverse_cdf(rng.random(size))

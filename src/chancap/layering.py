@@ -47,6 +47,9 @@ _NEWTON_MAX_STEPS = 8
 # p grid on which find_cutoffs brackets each cutoff before polishing.
 _CUTOFF_SCAN_POINTS = 4096
 
+# Grid points of a layer profile, solved or parametric.
+_PROFILE_POINTS = 4097
+
 # Slack of the discrete optimizer's first-order certificate, in nats.
 _KKT_TOL = 1e-9
 
@@ -115,6 +118,10 @@ class CutoffPair:
     def __post_init__(self):
         if not 0.0 <= self.p_l <= self.p_u <= 0.5:
             raise ValueError("CutoffPair: need 0 <= p_l <= p_u <= 1/2")
+
+
+# The band of the full-range parametric family.
+FULL_RANGE = CutoffPair(0.0, 0.5)
 
 
 def ge_expected_capacity(p_good: float, p_bad: float, pi_good: float) -> tuple[float, float]:
@@ -514,7 +521,7 @@ def find_cutoffs(density) -> CutoffPair:
     return CutoffPair(p_l=min(p_l, p_u), p_u=p_u)
 
 
-def solve_layering(density, num: int = 4097) -> LayerProfile:
+def solve_layering(density, num: int = _PROFILE_POINTS) -> LayerProfile:
     """Solve the Euler equation on a grid over [p_l, p_u], all interior
     points in one array pass."""
     cut = find_cutoffs(density)
@@ -556,7 +563,7 @@ def _expected_rate(density, prof: RateProfile) -> float:
     return float(density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g))
 
 
-def expected_capacity_continuous(density, num: int = 4097) -> float:
+def expected_capacity_continuous(density, num: int = _PROFILE_POINTS) -> float:
     """Expected capacity of the continuous-state BSC composite.
 
     Solves the layering, then evaluates
@@ -602,34 +609,27 @@ def expected_capacity(channel) -> float:
     return optimize_discrete(law.mass[order], law.params[order])[1]
 
 
-def parametric_profile(density, family: str, gamma: float, num: int = 4097) -> LayerProfile:
-    """Suboptimal one-parameter layering families.
+def parametric_profile(band: CutoffPair, gamma: float) -> LayerProfile:
+    """One-parameter layering r = ((p - p_l)/(p_u - p_l))^gamma / 2 on a band.
 
-    "optimal-cutoff": r = ((p - p_l)/(p_u - p_l))^gamma / 2 on the
-    solved cutoff band.  "full-range": r = (2p)^gamma / 2 on [0, 1/2].
+    find_cutoffs(density) gives the "optimal-cutoff" family and
+    FULL_RANGE the "full-range" one, r = (2p)^gamma / 2 exactly.
     """
-    _require_density(density, "parametric_profile")
     # Written as "not (in range)" so that NaN fails the check.  An
     # infinite gamma is a step at the top of the band, which the
     # finite-difference rate profile cannot integrate.
     if not 0.0 < gamma < math.inf:
         raise ValueError("parametric_profile: gamma must be positive and finite")
-    if family == "optimal-cutoff":
-        cut = find_cutoffs(density)
-        grid = np.linspace(cut.p_l, cut.p_u, num)
-        span = max(cut.p_u - cut.p_l, EPS)
-        r = 0.5 * ((grid - cut.p_l) / span) ** gamma
-    elif family == "full-range":
-        grid = np.linspace(0.0, 0.5, num)
-        r = 0.5 * (2.0 * grid) ** gamma
-    else:
-        raise ValueError("parametric_profile: family must be 'optimal-cutoff' or 'full-range'")
-    return LayerProfile(grid=grid, r=np.clip(r, 0.0, 0.5))
+    if not band.p_l < band.p_u:
+        raise ValueError("parametric_profile: the band must have positive width")
+    grid = np.linspace(band.p_l, band.p_u, _PROFILE_POINTS)
+    return LayerProfile(grid=grid, r=0.5 * ((grid - band.p_l) / (band.p_u - band.p_l)) ** gamma)
 
 
-def parametric_expected_rate(density, family: str, gamma: float, num: int = 4097) -> float:
-    """Expected rate of a parametric profile."""
-    return _expected_rate(density, rate_profile(parametric_profile(density, family, gamma, num=num)))
+def parametric_expected_rate(density, band: CutoffPair, gamma: float) -> float:
+    """Expected rate over `density` of the parametric profile on `band`."""
+    _require_density(density, "parametric_expected_rate")
+    return _expected_rate(density, rate_profile(parametric_profile(band, gamma)))
 
 
 def bec_bc_region(alpha1: float, alpha2: float, p_aux: float) -> tuple[float, float]:

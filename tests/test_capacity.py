@@ -18,6 +18,7 @@ from chancap import (
     bsc_capacity,
     capacity_from_spectrum,
     capacity_vs_outage,
+    discretize_density,
     expected_capacity_bounds,
     limit_spectrum_cdf,
     mean_state_capacity,
@@ -179,6 +180,20 @@ def test_best_outage_rate_density_optimum_at_q_0():
     g = np.linspace(0.0, 0.2, 1025)
     cubic = ContinuousBscComposite(g, g ** 3 / np.trapezoid(g ** 3, g))
     assert best_outage_rate(cubic) == (0.0, bsc_capacity(0.2))
+
+
+@pytest.mark.parametrize("law", [
+    _gridded(lambda x: 1.0 - x, 0.4, 257),
+    _gridded(lambda x: x * (1.0 - x) ** 2, 0.4, 1025),
+], ids=["triangle", "beta"])
+def test_density_support_edge_is_one_point(law):
+    # f vanishes at the last grid point only: the interpolated pdf is
+    # positive up to it, so the worst supported state is p = 0.4, for
+    # the Shannon capacity, C_0 and the quantized ladder alike.
+    assert law.pdf(0.3985) > 0.0
+    assert shannon_capacity(law) == 1.0 - binary_entropy(0.4)
+    assert abs(shannon_capacity(law) - capacity_vs_outage(law, 0.0)) <= 1e-12
+    assert discretize_density(law, 64)[1][-1] == 0.4
 
 
 def test_best_outage_rate_ergodic_ge():

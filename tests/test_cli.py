@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from chancap import binary_entropy, bsc_capacity
+from chancap import BroadcastCodeSpec, binary_entropy, bsc_capacity, cli, layering
 from chancap.cli import main
 
 
@@ -145,6 +145,26 @@ def test_broadcast_csv_bytes_frozen(tmp_path, capsys, config):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BROADCAST_SHA256[config]
 
 
+def test_broadcast_gamma_solves_cutoffs_twice(tmp_path, capsys, monkeypatch):
+    # Once inside the expected capacity and once for the optimal-cutoff
+    # band, however many gammas the sweep has.
+    calls = []
+    original = layering.find_cutoffs
+
+    def counted(density):
+        calls.append(density)
+        return original(density)
+
+    monkeypatch.setattr(layering, "find_cutoffs", counted)
+    monkeypatch.setattr(cli, "find_cutoffs", counted)
+    cfg = tmp_path / "bc.cfg"
+    cfg.write_text("family=uniform\nmode=gamma\n")
+    assert main(["broadcast", "--config", str(cfg)]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    assert data.shape == (10, 4)
+    assert len(calls) == 2
+
+
 def test_broadcast_rejects_discrete(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family=bsc\nstates=0.1\npmf=1\n")
@@ -185,6 +205,15 @@ def test_mapdemo_default(capsys):
     assert "expected rate = 0.4" in out
     assert "partition check: ok" in out
     assert "round-trip check: ok" in out
+
+
+def test_mapdemo_round_trip_failure_exits_2(capsys, monkeypatch):
+    # An inverse mapping that loses rate fails the round-trip check.
+    monkeypatch.setattr(cli, "expected_to_bc", lambda code: BroadcastCodeSpec(2, {(0, 1): 0.35, (1,): 0.2}, 20))
+    assert main(["mapdemo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mapdemo: round-trip")
 
 
 def test_mapdemo_custom(tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import beta
 
 from chancap import (
+    FULL_RANGE,
     BecState,
     BscState,
     ContinuousBscComposite,
@@ -375,8 +376,7 @@ def test_continuous_layering_rejects_atoms(channel):
         lambda: find_cutoffs(channel),
         lambda: solve_layering(channel),
         lambda: expected_capacity_continuous(channel),
-        lambda: parametric_expected_rate(channel, "optimal-cutoff", 1.0),
-        lambda: parametric_expected_rate(channel, "full-range", 1.0),
+        lambda: parametric_expected_rate(channel, FULL_RANGE, 1.0),
     )
     for call in calls:
         with pytest.raises(ValueError, match="needs a continuous crossover density"):
@@ -753,25 +753,30 @@ def test_discrete_ladder_approaches_continuous():
 
 
 def test_parametric_profile_families():
-    lay = parametric_profile(UNIFORM, "optimal-cutoff", 1.0, num=257)
-    cut = find_cutoffs(UNIFORM)
-    assert lay.grid[0] == cut.p_l and lay.grid[-1] == cut.p_u
-    assert lay.r[0] == 0.0 and lay.r[-1] == 0.5
-    full = parametric_profile(UNIFORM, "full-range", 2.0, num=257)
-    assert full.grid[0] == 0.0 and full.grid[-1] == 0.5
+    for density in (UNIFORM, _beta(2.0, 3.0)):
+        cut = find_cutoffs(density)
+        lay = parametric_profile(cut, 1.0)
+        assert lay.grid[0] == cut.p_l and lay.grid[-1] == cut.p_u
+        assert lay.r[0] == 0.0 and lay.r[-1] == 0.5
+    # On [0, 1/2] the band formula is the full-range family bit for bit.
+    for gamma in (0.25, 1.0, 2.0, 3.5):
+        full = parametric_profile(FULL_RANGE, gamma)
+        assert full.grid[0] == 0.0 and full.grid[-1] == 0.5
+        assert np.array_equal(full.r, 0.5 * (2.0 * full.grid) ** gamma)
     # A NaN gamma used to fail deep in `star`, and an infinite one to
     # give a rate above the expected capacity.
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            parametric_profile(UNIFORM, "optimal-cutoff", bad)
-    with pytest.raises(ValueError):
-        parametric_profile(UNIFORM, "spiral", 1.0)
+            parametric_profile(cut, bad)
+    with pytest.raises(ValueError, match="band must have positive width"):
+        parametric_profile(CutoffPair(0.2, 0.2), 1.0)
 
 
 def test_parametric_rates_below_optimum():
     ce = expected_capacity_continuous(UNIFORM)
-    oc = [parametric_expected_rate(UNIFORM, "optimal-cutoff", g) for g in (0.5, 1.0, 2.0)]
-    fr = [parametric_expected_rate(UNIFORM, "full-range", g) for g in (0.5, 1.0, 2.0)]
+    cut = find_cutoffs(UNIFORM)
+    oc = [parametric_expected_rate(UNIFORM, cut, g) for g in (0.5, 1.0, 2.0)]
+    fr = [parametric_expected_rate(UNIFORM, FULL_RANGE, g) for g in (0.5, 1.0, 2.0)]
     assert all(v <= ce + 1e-9 for v in oc + fr)
     assert max(oc) > max(fr)
     assert max(oc) == pytest.approx(ce, abs=1e-3)

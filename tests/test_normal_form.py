@@ -8,6 +8,7 @@ benchmark, or is a quantity of the paper kept for its own sake.
 """
 
 import ast
+import inspect
 import re
 import types
 from pathlib import Path
@@ -25,6 +26,22 @@ PAPER_API = {
     "transmit": "one block through the component channel of a realized state",
     "bec_bc_expected_rate": "the paper's two-state BEC broadcast example",
     "discrete_expected_rate": "expected rate of a given layered code; the optimizer tests' oracle",
+}
+
+# Every defaulted parameter of a public callable, with why it is an
+# option.  A new option goes here, with its reason, or is not added.
+KNOBS = {
+    "ContinuousBscComposite.uniform.num": "grid size of the uniform preset; its cdf is analytic at any size",
+    "SimResult.per_state_rates": "present only for sweeps that report per-state rates",
+    "SimResult.ml_error_rate": "present only when the ML oracle ran",
+    "SimResult.ml_dominance_violations": "present only when the ML oracle ran",
+    "bec_bc_expected_rate.w1": "the paper's example has equiprobable states; the mass is its parameter",
+    "expected_capacity_continuous.num": "profile grid; the tests refine it to check convergence",
+    "solve_layering.num": "profile grid; the tests vary it against an independent per-point solve",
+    "simulate_outage_code_sweep.epsilon": "the decoder's information-density threshold slack",
+    "simulate_outage_code_sweep.seed": "master seed of the Monte Carlo stream",
+    "simulate_outage_code_sweep.ml_oracle": "opt-in brute-force ML cross-check of the threshold decoder",
+    "simulate_uncoded_bec.seed": "master seed of the Monte Carlo stream",
 }
 
 
@@ -95,3 +112,27 @@ def test_no_unused_imports():
                     if bound not in read:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def _public_callables():
+    for name in chancap.__all__:
+        obj = getattr(chancap, name)
+        # Exception classes take the builtin's arguments and have no
+        # signature to read.
+        if isinstance(obj, types.ModuleType) or not callable(obj) or obj is chancap.SolverError:
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and (inspect.isfunction(member) or isinstance(member, classmethod)):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+
+def test_public_knob_inventory():
+    knobs = {
+        f"{name}.{param.name}"
+        for name, obj in _public_callables()
+        for param in inspect.signature(obj).parameters.values()
+        if param.default is not inspect.Parameter.empty
+    }
+    assert knobs == set(KNOBS)
