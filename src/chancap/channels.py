@@ -190,11 +190,15 @@ class DiscreteComposite:
 class ContinuousBscComposite:
     """BSC with random crossover probability on [0, 1/2].
 
-    The density f(p) lives on a uniform grid; F(p) is its trapezoid
-    cumulative, scaled to end at exactly 1.  f = 2 on a grid from 0 to
-    1/2 is the uniform law, with `analytic_preset` "uniform": exact
-    closed forms (f = 2, F(p) = 2p), free of quadrature error.  The
-    composite is its own state law.
+    The density lives on a grid, and the law is one polynomial per grid
+    cell: f is linear between the knots, and F is its exact integral, a
+    quadratic.  At the knots F takes the trapezoid cumulative, scaled to
+    end at exactly 1, and f is divided by the same total, so F' = f
+    holds everywhere.  In cell k, with t = p - x_k and slope
+    s_k = (f_{k+1} - f_k)/h_k, F(p) = F_k + t (f_k + s_k t / 2).  f = 2
+    on a grid from 0 to 1/2 is the uniform law, with `analytic_preset`
+    "uniform": exact closed forms (f = 2, F(p) = 2p), free of grid
+    rounding.  The composite is its own state law.
     """
 
     family = "bsc"
@@ -203,6 +207,8 @@ class ContinuousBscComposite:
     density: np.ndarray
     analytic_preset: str | None = field(init=False, default=None)
     _cum: np.ndarray = field(init=False, repr=False, default=None)
+    _pdf: np.ndarray = field(init=False, repr=False, default=None)
+    _cells: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -220,6 +226,15 @@ class ContinuousBscComposite:
         object.__setattr__(self, "density", f)
         # So that inverse_cdf(1) is the support edge, not past the grid.
         object.__setattr__(self, "_cum", cum / cum[-1])
+        pdf = f / cum[-1]
+        object.__setattr__(self, "_pdf", pdf)
+        # Row j is the cell that ends at knot j: its left knot, F and f
+        # there, and half its slope.  Row 0 lies below the grid and row
+        # g.size above it, both with f = 0, so F is 0 and 1 there.
+        cells = np.zeros((g.size + 1, 4))
+        cells[0, 0], cells[1:, 0], cells[1:, 1] = g[0], g, self._cum
+        cells[1:-1, 2], cells[1:-1, 3] = pdf[:-1], 0.5 * (np.diff(pdf) / np.diff(g))
+        object.__setattr__(self, "_cells", cells)
         if g[0] == 0.0 and g[-1] == 0.5 and np.all(f == 2.0):
             object.__setattr__(self, "analytic_preset", "uniform")
 
@@ -233,18 +248,30 @@ class ContinuousBscComposite:
             p_arr = np.asarray(p, dtype=float)
             out = np.where((p_arr >= 0.0) & (p_arr <= 0.5), 2.0, 0.0)
             return float(out) if np.isscalar(p) else out
-        out = np.interp(p, self.grid, self.density, left=0.0, right=0.0)
+        out = np.interp(p, self.grid, self._pdf, left=0.0, right=0.0)
         return float(out) if np.isscalar(p) else out
 
     def cdf(self, p):
+        """F(p): at a knot its trapezoid value, inside a cell the exact
+        integral of the linear f from the cell's left knot."""
+        p_arr = np.asarray(p, dtype=float)
         if self.analytic_preset == "uniform":
-            out = np.clip(2.0 * np.asarray(p, dtype=float), 0.0, 1.0)
-            return float(out) if np.isscalar(p) else out
-        out = np.interp(p, self.grid, self._cum, left=0.0, right=1.0)
+            out = np.clip(2.0 * p_arr, 0.0, 1.0)
+        else:
+            # A knot starts its own cell (t = 0), the top knot included.
+            x, big_f, f, half_slope = self._cells[np.searchsorted(self.grid, p_arr, side="right")].T
+            t = p_arr - x
+            out = big_f + t * (f + half_slope * t)
         return float(out) if np.isscalar(p) else out
 
     def inverse_cdf(self, u):
-        """Smallest p with F(p) >= u (plateaus resolve to their left edge)."""
+        """Smallest p with F(p) >= u (plateaus resolve to their left edge).
+
+        A u equal to a knot's F returns that knot exactly.  Inside cell k
+        the quadratic F_k + t (f_k + s_k t / 2) = u is solved in the form
+        t = 2 du / (f_k + sqrt(f_k^2 + 2 s_k du)), du = u - F_k, which
+        does not cancel when s_k < 0.
+        """
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if not ((u_arr >= 0.0) & (u_arr <= 1.0)).all():
             raise ValueError("inverse_cdf: u must lie in [0, 1]")
@@ -252,10 +279,12 @@ class ContinuousBscComposite:
             out = u_arr / 2.0
         else:
             idx = np.searchsorted(self._cum, u_arr, side="left")
-            idx = np.clip(idx, 1, self._cum.size - 1)
-            lo, hi = self._cum[idx - 1], self._cum[idx]
-            frac = np.where(hi > lo, (u_arr - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
-            out = self.grid[idx - 1] + frac * (self.grid[idx] - self.grid[idx - 1])
+            x, big_f, f, half_slope = self._cells[idx].T
+            du = u_arr - big_f
+            denom = f + np.sqrt(np.maximum(f * f + 4.0 * half_slope * du, 0.0))
+            t = 2.0 * du / np.where(denom > 0.0, denom, 1.0)
+            g = self.grid[idx]
+            out = np.where(self._cum[idx] == u_arr, g, np.minimum(x + t, g))
         return float(out[0]) if np.isscalar(u) else out
 
     def support_sup(self) -> float:

@@ -44,9 +44,6 @@ _SINHC_SLOPE = _SINHC_SERIES * np.arange(8, 0, -1)
 _NEWTON_RTOL = 1e-8
 _NEWTON_MAX_STEPS = 8
 
-# p grid on which find_cutoffs brackets each cutoff before polishing.
-_CUTOFF_SCAN_POINTS = 4096
-
 # Grid points of a layer profile, solved or parametric.
 _PROFILE_POINTS = 4097
 
@@ -476,66 +473,94 @@ def _require_density(channel, caller: str) -> None:
         raise ValueError(f"{caller}: needs a continuous crossover density, not {type(channel).__name__}")
 
 
+def _lhs(x: float) -> float:
+    """euler_lhs of one float x in (0, 1/2], in math floats."""
+    if 0.5 - x < _LHS_LIMIT_BAND:
+        return 2.0
+    return (1.0 / x - 1.0 / (1.0 - x)) / math.log((1.0 - x) / x)
+
+
+def _bisect(fn, lo: float, hi: float) -> float:
+    """The root of fn in [lo, hi] with fn < 0 left of it and fn >= 0 right
+    of it, halved down to adjacent floats; returns hi."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def find_cutoffs(density) -> CutoffPair:
     """Cutoff probabilities: r(p_l) = 0 and r(p_u) = 1/2 boundaries.
 
-    p_u solves RHS(p) = 2 (the LHS limit at r = 1/2) and p_l solves
-    LHS(p) = RHS(p) (the r = 0 boundary); each root is bracketed by the
-    first sign change in its declared direction on a scan grid and
-    polished by Brent's method (brentq) to xtol 1e-8.
+    Both are roots of the Euler condition multiplied through by F, so
+    that it is defined where F = 0: p_u is where 4F - (1 - 2p) f rises
+    through 0 (RHS(p) = 2, the LHS limit at r = 1/2) and p_l where
+    LHS(p) F - ((1 - 2p) f - 2F) does (LHS = RHS at r = 0).  Both
+    residuals are negative just above the bottom of the support.  Each
+    is scanned on the law's knots up to the top of the support, and its
+    first upward crossing brackets the root in one cell.  On that cell
+    f is linear and F its exact integral, read from the end knots, and
+    a bisection in floats runs to adjacent floats: each root is exact
+    to the last float of the law's own polynomial (the uniform law's
+    p_u is 1/6).  Without a crossing the cutoff is the top of the
+    support; p_l = p_u is a band of width zero, one layer at p_u.
     """
     _require_density(density, "find_cutoffs")
-    # Imported here: scipy.optimize adds about 48 MB of resident memory
-    # and 0.5 s to a process that has imported chancap.
-    from scipy.optimize import brentq
+    ps = density.grid[:int(np.searchsorted(density.grid, density.support_sup())) + 1]
+    f, big_f = density.pdf(ps), density.cdf(ps)
 
-    p_min = max(float(density.grid[0]), 1e-9)
-    p_max = min(density.support_sup(), 0.5)
-    # Skip ahead to positive F so the RHS is defined.
-    ps = np.linspace(p_min, p_max, _CUTOFF_SCAN_POINTS)
-    ps = ps[density.cdf(ps) > 0.0]
-    if ps.size < 2:
-        raise ValueError("find_cutoffs: degenerate density grid")
-
-    def root_on(fn, increasing: bool) -> float:
-        vals = fn(ps)
-        step = np.diff(np.sign(vals))
-        # Only a crossing in the declared direction counts.  Where
-        # f(0) = 0, F and f are both linear in the first grid cell, so
-        # the RHS is flat there while the LHS falls through it: a
-        # spurious down-crossing of the p_l residual.
-        crossing = np.nonzero(step > 0.0 if increasing else step < 0.0)[0]
+    def root_on(vals: np.ndarray, residual) -> float:
+        # Where F = 0 both residuals are -(1 - 2p) f <= 0.  An upward
+        # step from below 0, or from a 0 where f = F = 0, is a crossing;
+        # a step down never is.
+        crossing = np.nonzero(np.diff(np.sign(vals)) > 0.0)[0]
         if crossing.size == 0:
-            # Boundary never crossed inside the support: the cutoff
-            # sits at whichever support edge the sign points to.
-            if increasing:
-                return float(ps[0] if vals[0] >= 0.0 else ps[-1])
-            return float(ps[0] if vals[0] <= 0.0 else ps[-1])
+            return float(ps[-1])
         k = int(crossing[0])
-        return brentq(fn, float(ps[k]), float(ps[k + 1]), xtol=1e-8)
+        a, b = float(ps[k]), float(ps[k + 1])
+        f_a, big_f_a = float(f[k]), float(big_f[k])
+        # The same operations as ContinuousBscComposite.cdf.
+        half_slope = 0.5 * ((float(f[k + 1]) - f_a) / (b - a))
 
-    # RHS decreases through 2 at p_u; the r=0 residual increases through
-    # 0 at p_l.
-    p_u = root_on(lambda p: euler_rhs(p, density) - 2.0, increasing=False)
-    p_l = root_on(lambda p: euler_lhs(np.maximum(p, EPS)) - euler_rhs(p, density), increasing=True)
+        def on_cell(p: float) -> float:
+            t = p - a
+            return residual(p, f_a + 2.0 * half_slope * t, big_f_a + t * (f_a + half_slope * t))
+
+        return _bisect(on_cell, a, b)
+
+    # Clamping p = 0, where F = 0, leaves LHS * F finite.
+    p_u = root_on(4.0 * big_f - (1.0 - 2.0 * ps) * f,
+                  lambda p, f_p, big_f_p: 4.0 * big_f_p - (1.0 - 2.0 * p) * f_p)
+    p_l = root_on(euler_lhs(np.maximum(ps, EPS)) * big_f - ((1.0 - 2.0 * ps) * f - 2.0 * big_f),
+                  lambda p, f_p, big_f_p: _lhs(max(p, EPS)) * big_f_p - ((1.0 - 2.0 * p) * f_p - 2.0 * big_f_p))
     return CutoffPair(p_l=min(p_l, p_u), p_u=p_u)
 
 
-def solve_layering(density, num: int = _PROFILE_POINTS) -> LayerProfile:
-    """Solve the Euler equation on a grid over [p_l, p_u], all interior
-    points in one array pass."""
-    cut = find_cutoffs(density)
-    grid = np.linspace(cut.p_l, cut.p_u, num)
+def _layering(density, band: CutoffPair, num: int) -> LayerProfile:
+    """Solve the Euler equation on a grid over the band [p_l, p_u], all
+    interior points in one array pass."""
+    if not band.p_l < band.p_u:
+        raise ValueError("solve_layering: the cutoff band has zero width; one layer at p_u is optimal")
+    grid = np.linspace(band.p_l, band.p_u, num)
     r = np.empty(num)
     r[0], r[-1] = 0.0, 0.5
     inner = grid[1:-1]
     # Roundoff at the band edges leaves no sign change: clamp those
     # points to the nearer boundary.
-    nearer = np.where(inner - cut.p_l < cut.p_u - inner, 0.0, 0.5)
+    nearer = np.where(inner - band.p_l < band.p_u - inner, 0.0, 0.5)
     val = _euler_r(inner, density)
     r[1:-1] = np.where(np.isnan(val), nearer, val)
     r = np.maximum.accumulate(r)
     return LayerProfile(grid=grid, r=r)
+
+
+def solve_layering(density, num: int = _PROFILE_POINTS) -> LayerProfile:
+    """Solve the Euler equation on a grid over [p_l, p_u] (find_cutoffs)."""
+    return _layering(density, find_cutoffs(density), num)
 
 
 def rate_profile(layer: LayerProfile) -> RateProfile:
@@ -570,19 +595,23 @@ def expected_capacity_continuous(density, num: int = _PROFILE_POINTS) -> float:
     C^e = integral F(p) log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp,
     cross-checked against the integration-by-parts form
     F(p_l) R(p_l) + integral f(p) R(p) dp; the two must agree to 1e-6.
-    A single-layer outage code is one admissible profile, so C^e below
-    the best outage rate (less 1e-9) means the solve failed: both
-    certificates raise SolverError.
+    A band of width zero is one layer at p_u, decoded by every state
+    up to p_u: C^e = F(p_u) (1 - h(p_u)).  A single-layer outage code is
+    one admissible profile, so C^e below the best outage rate (less
+    1e-9) means the solve failed: both certificates raise SolverError.
     """
-    layer = solve_layering(density, num=num)
-    g, r = layer.grid, layer.r
-    x = np.clip(star(g, r), EPS, 1.0 - EPS)
-    weight = density.cdf(g) * np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * np.gradient(r, g)
-    value = float(np.trapezoid(weight, g))
-
-    alt = _expected_rate(density, rate_profile(layer))
-    if abs(value - alt) > 1e-6:
-        raise SolverError("expected_capacity_continuous: integral forms disagree")
+    band = find_cutoffs(density)
+    if band.p_l == band.p_u:
+        value = density.cdf(band.p_u) * (1.0 - binary_entropy(band.p_u))
+    else:
+        layer = _layering(density, band, num)
+        g, r = layer.grid, layer.r
+        x = np.clip(star(g, r), EPS, 1.0 - EPS)
+        weight = density.cdf(g) * np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * np.gradient(r, g)
+        value = float(np.trapezoid(weight, g))
+        alt = _expected_rate(density, rate_profile(layer))
+        if abs(value - alt) > 1e-6:
+            raise SolverError("expected_capacity_continuous: integral forms disagree")
     if value < best_outage_rate(density)[1] - 1e-9:
         raise SolverError("expected_capacity_continuous: below the best outage rate")
     return value

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import xlogy
 
@@ -115,17 +115,6 @@ def test_import_loads_no_scipy():
     assert _scipy_modules_after("import chancap") == "[]"
 
 
-def test_best_outage_rate_loads_no_scipy():
-    # The continuous best outage rate is array scans of C_q; only the
-    # Euler layering's cutoff polish imports scipy.optimize.
-    code = (
-        "import chancap\n"
-        "u = chancap.ContinuousBscComposite.uniform()\n"
-        "chancap.best_outage_rate(u); chancap.expected_capacity_bounds(u)"
-    )
-    assert _scipy_modules_after(code) == "[]"
-
-
 def test_star_values():
     assert star(0.1, 0.2) == pytest.approx(0.26, abs=1e-15)
     assert star(0.3, 0.0) == 0.3
@@ -220,6 +209,77 @@ def test_uniform_preset_is_derived_from_the_density():
         ContinuousBscComposite(grid, 8.0 * (0.5 - grid), analytic_preset="uniform")
     with pytest.raises(TypeError):
         ContinuousBscComposite(grid, np.full(101, 2.0), _cum=2.0 * grid)
+
+def _normalized(g, f):
+    return ContinuousBscComposite(g, f / np.trapezoid(f, g))
+
+
+_G257, _G1025 = np.linspace(0.0, 0.5, 257), np.linspace(0.0, 0.4, 1025)
+SMOOTH_BUMP = _normalized(_G257, 0.3 + np.exp(-(((_G257 - 0.15) / 0.06) ** 2)))
+TWO_BUMPS = _normalized(_G1025, 0.3 * np.exp(-0.5 * ((_G1025 - 0.1) / 0.02) ** 2)
+                      + 0.7 * np.exp(-0.5 * ((_G1025 - 0.25) / 0.02) ** 2))
+
+
+@st.composite
+def piecewise_laws(draw):
+    """Piecewise-linear densities on nonuniform grids within [0, 1/2]:
+    zero cells and f = 0 at either end are among the draws."""
+    n = draw(st.integers(2, 24))
+    lo = draw(st.floats(0.0, 0.4))
+    top = draw(st.floats(lo + 0.01, 0.5))
+    widths = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1, max_size=n - 1)))
+    grid = lo + (top - lo) * np.concatenate([[0.0], np.cumsum(widths) / widths.sum()])
+    grid[-1] = top
+    values = st.one_of(st.just(0.0), st.floats(1e-3, 100.0))
+    f = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    mass = np.trapezoid(f, grid)
+    assume(mass > 0.0)
+    return ContinuousBscComposite(grid, f / mass)
+
+
+# Points inside grid cells: (cell as a fraction of the cell count,
+# position as a fraction of the cell width).
+cell_points = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8)
+
+
+def _in_cell(law, cell, frac):
+    g = law.grid
+    k = min(int(cell * (g.size - 1)), g.size - 2)
+    return k, min(float(g[k] + frac * (g[k + 1] - g[k])), float(g[k + 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=piecewise_laws(), left=cell_points, right=st.floats(0.0, 1.0))
+@example(law=SMOOTH_BUMP, left=[(0.3, 0.2), (0.99, 0.9)], right=1.0)
+@example(law=TWO_BUMPS, left=[(0.25, 0.0), (0.62, 0.5)], right=0.7)
+def test_density_cdf_is_the_exact_integral_of_pdf(law, left, right):
+    # In a cell f is linear, so the trapezoid rule is exact for it.
+    for cell, frac in left:
+        k, a = _in_cell(law, cell, frac)
+        b = min(a + right * (float(law.grid[k + 1]) - a), float(law.grid[k + 1]))
+        trap = (b - a) * (law.pdf(a) + law.pdf(b)) / 2.0
+        assert abs(law.cdf(b) - law.cdf(a) - trap) <= 1e-15 * law.cdf(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=piecewise_laws(), points=cell_points)
+@example(law=SMOOTH_BUMP, points=[(0.3, 0.2), (0.99, 0.9)])
+@example(law=TWO_BUMPS, points=[(0.25, 0.0), (0.62, 0.5)])
+def test_density_inverse_cdf_inverts_cdf(law, points):
+    # Exactly at the first knot and at each knot that ends a cell with
+    # mass (other knots sit on a plateau of F, which resolves to its
+    # left edge), the top of the support included.
+    cum = law.cdf(law.grid)
+    own = np.concatenate([[True], cum[1:] > cum[:-1]])
+    assert np.array_equal(law.inverse_cdf(cum[own]), law.grid[own])
+    assert law.inverse_cdf(1.0) == law.support_sup()
+    # Inside a cell to 1e-12 where f >= 1e-3: one ulp of F moves p by
+    # about 1e-16 / f, so that is as close as F pins p down.
+    for cell, frac in points:
+        _, p = _in_cell(law, cell, frac)
+        if law.pdf(p) >= 1e-3:
+            assert abs(law.inverse_cdf(law.cdf(p)) - p) <= 1e-12
+
 
 def test_density_validation():
     grid = np.linspace(0.1, 0.4, 51)

@@ -1,9 +1,15 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chancap import BroadcastCodeSpec, binary_entropy, bsc_capacity, cli, layering
+import chancap
+from chancap import BroadcastCodeSpec, ContinuousBscComposite, binary_entropy, bsc_capacity, cli, layering
 from chancap.cli import main
 
 
@@ -130,10 +136,11 @@ def test_broadcast_gamma(tmp_path, capsys):
 
 
 # sha256 of `chancap broadcast` on the uniform law: the default layer
-# profile and mode=gamma at its default gammas.
+# profile and mode=gamma at its default gammas.  Cutoffs from Brent's
+# method at xtol 1e-15 give the same bytes.
 BROADCAST_SHA256 = {
-    "": "65784e22fc9f661cb540900d46dec958ade35f3a386e613b5f93875517d87343",
-    "family=uniform\nmode=gamma\n": "f8537351062d36c328a4f2fd2782d951e39c039bd5fc7601c3ca42015ecc15c6",
+    "": "ff84784b4b92bf6f851968c9640457dca8717eb9c79d6494e8c6f4315b2da016",
+    "family=uniform\nmode=gamma\n": "9d877208fdefda96b966494833ab69a4027d529c34d7922a3731f68dfb1bb4e0",
 }
 
 
@@ -447,16 +454,76 @@ def test_constant_density_file_is_the_uniform_law(tmp_path, capsys):
     assert from_file[1:] == preset[1:]
 
 
-def test_capacity_of_density_without_certified_layering_exits_2(tmp_path, capsys):
-    # f ~ p^3 on [0, 0.2]: the cutoff scan finds no p_l crossing, and
-    # the single-band solve falls below the best outage rate 1 - h(0.2).
-    g = np.linspace(0.0, 0.2, 1025)
-    f = g ** 3 / np.trapezoid(g ** 3, g)
-    dens = tmp_path / "cubic.csv"
-    dens.write_text("".join(f"{p},{v}\n" for p, v in zip(g.tolist(), f.tolist())))
-    cfg = tmp_path / "cubic.cfg"
+def _density_config(tmp_path, name, grid, f):
+    dens = tmp_path / f"{name}.csv"
+    dens.write_text("".join(f"{p},{v}\n" for p, v in zip(grid.tolist(), f.tolist())))
+    cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(f"family=density\ndensity_file={dens}\n")
-    assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 2
+    return cfg
+
+
+def test_capacity_of_density_without_certified_layering_exits_2(tmp_path, capsys):
+    # f ~ p^3 on [0, 0.2] has no cutoff band: one layer at the support
+    # edge, 1 - h(0.2), is its expected capacity.  A layer profile needs
+    # a band, so `broadcast` has none to print.
+    g = np.linspace(0.0, 0.2, 1025)
+    cfg = _density_config(tmp_path, "cubic", g, g ** 3 / np.trapezoid(g ** 3, g))
+    assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    assert np.all(data[:, 3] == float(f"{bsc_capacity(0.2):.12g}"))
+    assert main(["broadcast", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: expected_capacity_continuous: below the best outage rate")
+    assert captured.err.startswith("error: solve_layering: the cutoff band has zero width")
+
+
+def test_capacity_of_smooth_bump(tmp_path, capsys):
+    # F is the exact integral of the interpolated f, so the Euler and
+    # integration-by-parts forms agree (they used to differ by 2.1e-6),
+    # and C^e lies just above the 4096-state ladder.
+    g = np.linspace(0.0, 0.5, 257)
+    f = 0.3 + np.exp(-(((g - 0.15) / 0.06) ** 2))
+    f = f / np.trapezoid(f, g)
+    cfg = _density_config(tmp_path, "bump", g, f)
+    assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    ladder = layering.optimize_discrete(*layering.discretize_density(ContinuousBscComposite(g, f), 4096))[1]
+    assert ladder <= data[0, 3] <= ladder + 1e-7
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # Every subcommand at its default config, plus broadcast mode=gamma
+    # and capacity on a gridded density file, in a fresh interpreter
+    # where importing scipy fails.  The outputs keep their digests.
+    g = np.linspace(0.0, 0.4, 513)
+    density = _density_config(tmp_path, "ramp", g, (1.0 - g / 0.4) / 0.2)
+    gamma = tmp_path / "gamma.cfg"
+    gamma.write_text("family=uniform\nmode=gamma\n")
+    runs = {
+        ("capacity",): CAPACITY_SHA256[""],
+        ("spectrum",): SPECTRUM_DEFAULT_SHA256,
+        ("broadcast",): BROADCAST_SHA256[""],
+        ("broadcast", "--config", str(gamma)): BROADCAST_SHA256["family=uniform\nmode=gamma\n"],
+        ("simulate",): SIMULATE_SHA256[""],
+        ("mapdemo",): None,
+        ("capacity", "--config", str(density)): None,
+    }
+    code = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from chancap.cli import main\n"
+        "result = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        status = main(argv)\n"
+        "    result.append([status, hashlib.sha256(out.getvalue().encode()).hexdigest()])\n"
+        "print(json.dumps(result))\n"
+    )
+    src = str(Path(chancap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps([list(a) for a in runs])],
+                          env=env, capture_output=True, text=True, check=True, cwd=tmp_path)
+    for (argv, want), (status, digest) in zip(runs.items(), json.loads(proc.stdout)):
+        assert status == 0, argv
+        assert want is None or digest == want, argv

@@ -92,9 +92,27 @@ def _brentq_euler_r(p, density):
     return brentq(lambda r: euler_lhs(p + r - 2.0 * p * r) - rhs, 0.0, 0.5, xtol=1e-12)
 
 
-def _brentq_layering(density, num):
-    """solve_layering's profile from one scalar Brent solve per point."""
-    cut = find_cutoffs(density)
+def _brentq_cutoffs(density):
+    """find_cutoffs' roots by an independent route: the Euler condition
+    in its RHS form, each root bracketed by its first crossing in the
+    declared direction on a 4096-point scan where F > 0, then Brent's
+    method at xtol 1e-15."""
+    ps = np.linspace(max(float(density.grid[0]), 1e-9), density.support_sup(), 4096)
+    ps = ps[density.cdf(ps) > 0.0]
+
+    def root(fn, sign):
+        vals = sign * fn(ps)
+        k = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0][0]
+        return brentq(fn, ps[k], ps[k + 1], xtol=1e-15)
+
+    p_u = root(lambda p: euler_rhs(p, density) - 2.0, -1.0)
+    p_l = root(lambda p: euler_lhs(np.maximum(p, EPS)) - euler_rhs(p, density), 1.0)
+    return CutoffPair(p_l, p_u)
+
+
+def _brentq_layering(density, num, cut):
+    """solve_layering's profile on the band `cut` from one scalar Brent
+    solve per point."""
     grid = np.linspace(cut.p_l, cut.p_u, num)
     r = np.empty(num)
     r[0], r[-1] = 0.0, 0.5
@@ -146,7 +164,7 @@ def test_solve_euler_r():
 ])
 def test_solve_layering_matches_brentq_oracle(density, num):
     layer = solve_layering(density, num=num)
-    grid, r = _brentq_layering(density, num)
+    grid, r = _brentq_layering(density, num, find_cutoffs(density))
     assert np.array_equal(layer.grid, grid)
     assert np.max(np.abs(layer.r - r)) <= 1e-11
 
@@ -203,6 +221,29 @@ def test_find_cutoffs_uniform():
     assert cut.p_l < cut.p_u
 
 
+@pytest.mark.parametrize("num", [2, 3, 101, 2049])
+def test_find_cutoffs_uniform_p_u_is_one_sixth(num):
+    # (1 - 2p) f - 4F = 2 - 12p: the bisection lands on 1/6 on any
+    # density_grid (Brent's method at xtol 1e-8 left 1/6 + 6.7e-10).
+    cut = find_cutoffs(ContinuousBscComposite.uniform(num))
+    assert abs(cut.p_u - 1.0 / 6.0) <= np.spacing(1.0 / 6.0)
+
+
+@pytest.mark.parametrize("density", [
+    UNIFORM,
+    _smooth_bump(),
+    _beta(2.0, 3.0),
+    _triangle(),
+    _normalized(np.linspace(0.0, 0.4, 513), 1.0 - np.linspace(0.0, 0.4, 513) / 0.4),
+    _truncated_exponential(),
+    _two_bumps(),
+], ids=["uniform", "smooth_bump", "beta", "tent", "ramp", "truncexp", "two_bumps"])
+def test_find_cutoffs_match_brentq_oracle(density):
+    cut, want = find_cutoffs(density), _brentq_cutoffs(density)
+    assert abs(cut.p_l - want.p_l) <= 1e-12
+    assert abs(cut.p_u - want.p_u) <= 1e-12
+
+
 def test_find_cutoffs_triangle_brackets_mode():
     cut = find_cutoffs(_triangle())
     assert cut.p_l < 0.25 < cut.p_u
@@ -251,7 +292,10 @@ def test_solve_layering_shape():
 
 def test_rate_profile_uniform():
     prof = rate_profile(solve_layering(UNIFORM))
-    assert prof.rates[0] == pytest.approx(0.3814410858097629, abs=1e-12)
+    assert prof.rates[0] == pytest.approx(0.38144108581103864, abs=1e-12)
+    # The same profile from Brent's method, for the cutoffs and per point.
+    oracle = rate_profile(LayerProfile(*_brentq_layering(UNIFORM, 4097, _brentq_cutoffs(UNIFORM))))
+    assert abs(prof.rates[0] - oracle.rates[0]) <= 1e-13
     assert prof.rates[-1] == 0.0
     assert np.all(np.diff(prof.rates) <= 1e-12)
     # plateau below p_l, nothing above p_u
@@ -356,15 +400,21 @@ def test_expected_capacity_rejects_answer_below_outage_rate():
     # against a best outage rate of 0.1410.
     with pytest.raises(SolverError, match="below the best outage rate"):
         expected_capacity_continuous(_two_bumps())
-    # f ~ p^3 on [0, 0.2]: the p_l residual is positive only at the first
-    # scan point and RHS - 2 never crosses 0, so the cutoffs fall back to
-    # the support edges.  The solve then misses the best outage rate
-    # 1 - h(0.2), which the 4096-state ladder reaches.
+
+
+def test_density_without_band_gets_one_layer():
+    # f ~ p^3 on [0, 0.2]: neither residual crosses 0, so both cutoffs
+    # sit at the support edge.  The band of width zero is one layer at
+    # 0.2, which every state decodes: 1 - h(0.2), the best outage rate
+    # and the 4096-state ladder's value.
     g = np.linspace(0.0, 0.2, 1025)
     cubic = _normalized(g, g ** 3)
-    assert find_cutoffs(cubic) == CutoffPair(p_l=1e-9, p_u=0.2)
-    with pytest.raises(SolverError, match="below the best outage rate"):
-        expected_capacity_continuous(cubic)
+    assert find_cutoffs(cubic) == CutoffPair(p_l=0.2, p_u=0.2)
+    ce = expected_capacity_continuous(cubic)
+    assert ce == bsc_capacity(0.2) == 0.2780719051126377
+    assert ce == best_outage_rate(cubic)[1] == optimize_discrete(*discretize_density(cubic, 4096))[1]
+    with pytest.raises(ValueError, match="the cutoff band has zero width"):
+        solve_layering(cubic)
 
 
 @pytest.mark.parametrize("channel", [
