@@ -391,7 +391,8 @@ def _entropy_inverse(t: np.ndarray) -> np.ndarray:
     for _ in range(_ENTROPY_BISECTIONS):
         half *= 0.5
         mid = p + half
-        np.copyto(p, mid, where=binary_entropy(mid) <= t)
+        # mid lies in (0, 1/2) by construction: no range check needed.
+        np.copyto(p, mid, where=_entropy_bits(mid) <= t)
     return p
 
 

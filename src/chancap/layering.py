@@ -231,10 +231,14 @@ def _two_state_argmax(a: float, p: float, b: float, q: float) -> float:
     up, uq = 1.0 - 2.0 * p, 1.0 - 2.0 * q
     ap, bq = a * up, b * uq
 
+    # s = (ap - bq) L(x_p) + bq (L(x_p) - L(x_q)), the second term as
+    # one log1p: near a tie ap = bq the two terms of s cancel, and
+    # differencing them at full size would lose the root.
     def s(r: float) -> float:
         t = 1.0 - 2.0 * r
-        return (ap * math.log1p(t * up / (r + p - 2.0 * r * p))
-                - bq * math.log1p(t * uq / (r + q - 2.0 * r * q)))
+        x_p, x_q = r + p - 2.0 * r * p, r + q - 2.0 * r * q
+        return ((ap - bq) * math.log1p(t * up / x_p)
+                + bq * math.log1p((q - p) * t / (x_p * (1.0 - x_q))))
 
     if s(_R_MIN) <= 0.0:
         return 0.0

@@ -5,8 +5,8 @@ has closed forms for the symmetric families under uniform input:
 a function of the Hamming distance for the BSC and of the erasure
 count for the BEC.  Sampling those sufficient statistics directly
 avoids accumulating n log-ratios (no cancellation, and n = 10^4 is
-cheap).  The empirical cdf of the samples is the estimated
-information spectrum F(alpha).
+cheap).  The empirical cdf of the draws, kept as (value, count)
+cells, is the estimated information spectrum F(alpha).
 """
 
 from __future__ import annotations
@@ -66,28 +66,46 @@ def info_density_bec(e, n: int, alpha):
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Sorted Monte Carlo samples of the normalized information density."""
+    """Monte Carlo estimate of the information spectrum as weighted cells.
+
+    `values` holds the sorted cell values of the normalized information
+    density (ties between cells are allowed) and `cum_counts` the int64
+    cumulative draw counts of the cells, strictly increasing and ending
+    at `trials`.  The cdf is that of the draws
+    np.repeat(values, np.diff(cum_counts, prepend=0)), computed without
+    expanding them, so both queries cost O(log cells) per point.
+    """
 
     values: np.ndarray
+    cum_counts: np.ndarray
     blocklength: int
     trials: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        cum = np.asarray(self.cum_counts)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("EmpiricalCdf: values must be a nonempty 1-D array")
         if not np.all(np.isfinite(v)):
             raise ValueError("EmpiricalCdf: values must be finite")
-        if np.any(np.diff(v) < 0.0):
+        if np.any(v[1:] < v[:-1]):
             raise ValueError("EmpiricalCdf: values must be sorted")
-        if self.trials != v.size:
-            raise ValueError("EmpiricalCdf: trials must equal the sample count")
+        if cum.shape != v.shape or not np.issubdtype(cum.dtype, np.integer):
+            raise ValueError("EmpiricalCdf: cum_counts must be integers, one per value")
+        if cum[0] < 1 or np.any(cum[1:] <= cum[:-1]):
+            raise ValueError("EmpiricalCdf: cell counts must be positive")
+        if cum[-1] != self.trials:
+            raise ValueError("EmpiricalCdf: trials must equal the total count")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "cum_counts", cum.astype(np.int64, copy=False))
 
     def evaluate(self, alpha):
-        """F_hat(alpha) = fraction of samples <= alpha (right-continuous)."""
+        """F_hat(alpha) = fraction of draws <= alpha (right-continuous)."""
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("EmpiricalCdf.evaluate: alphas must be finite")
         idx = np.searchsorted(self.values, alpha, side="right")
-        out = np.asarray(idx, dtype=float) / self.trials
+        below = np.where(idx > 0, self.cum_counts[idx - 1], 0)
+        out = below.astype(float) / self.trials
         return float(out) if np.isscalar(alpha) else out
 
 
@@ -96,14 +114,15 @@ def cdf_quantile(cdf: EmpiricalCdf, q: float) -> float:
 
     For a step function the supremum is the (floor(q m) + 1)-th order
     statistic: every alpha below it has F_hat <= q, and F_hat jumps
-    above q at it.  q = 0 returns the sample minimum (the support
-    infimum at this resolution).
+    above q at it.  That draw lies in the first cell whose cumulative
+    count exceeds floor(q m).  q = 0 returns the smallest draw (the
+    support infimum at this resolution).
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("cdf_quantile: q must lie in [0, 1)")
     m = cdf.trials
     k = min(int(np.floor(q * m)), m - 1)
-    return float(cdf.values[k])
+    return float(cdf.values[np.searchsorted(cdf.cum_counts, k, side="right")])
 
 
 # Loader's saddle-point form of the binomial pmf ("Fast and accurate
@@ -177,7 +196,8 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     Each trial draws a state, then the closed-form sufficient statistic
     (Hamming distance or erasure count) as a Binomial(n, .) variable,
     and maps it through the per-block density.  All draws come from one
-    generator seeded with `seed`, and the samples are sorted by value.
+    generator seeded with `seed`, and the cells are sorted by value.
+    For a density each draw is a cell of count 1.
 
     For a discrete law the per-state trial counts are drawn first, as
     one Multinomial(trials, pmf) vector over the states of positive
@@ -187,8 +207,9 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     are at least the n + 1 counts and 0 < p < 1, else k scalar-p
     binomial draws.  Either is the law of drawing the pairs one by one,
     since the result is sorted.  So a state's draws cost O(min(k, n))
-    for any n.  The density is evaluated once per occupied cell, and the
-    sorted cells are expanded by their multiplicities.
+    for any n, and a state makes at most n + 1 cells however many
+    trials it draws.  The density is evaluated once per occupied cell,
+    and each cell keeps its multiplicity as its count.
     """
     if n < 1:
         raise ValueError("estimate_spectrum: n must be >= 1")
@@ -199,7 +220,7 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     if isinstance(law, ContinuousBscComposite):
         p = law.sample(rng, trials)
         values = np.sort(info_density_bsc(rng.binomial(n, p), n, p))
-        return EmpiricalCdf(values=values, blocklength=n, trials=trials)
+        return EmpiricalCdf(values, np.arange(1, trials + 1), blocklength=n, trials=trials)
     if law.params is None:
         raise ValueError("estimate_spectrum: ergodic Gilbert-Elliott has no frozen-state spectrum")
 
@@ -214,4 +235,4 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     density = info_density_bec if law.family == "bec" else info_density_bsc
     v = density(cell_count, n, params[cell_state])
     order = np.argsort(v, kind="stable")
-    return EmpiricalCdf(values=np.repeat(v[order], mult[order]), blocklength=n, trials=trials)
+    return EmpiricalCdf(v[order], np.cumsum(mult[order]), blocklength=n, trials=trials)

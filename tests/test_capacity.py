@@ -210,13 +210,13 @@ def test_limit_spectrum_cdf_rejects_non_finite_alpha():
 
 
 def test_capacity_from_spectrum():
-    cdf = EmpiricalCdf(
-        values=np.array([0.1, 0.2, 0.3, 0.4]),
-        blocklength=8,
-        trials=4,
-    )
+    cdf = EmpiricalCdf(np.array([0.1, 0.2, 0.3, 0.4]), np.array([1, 2, 3, 4]), blocklength=8, trials=4)
     assert capacity_from_spectrum(cdf, 0.5) == 0.3
     assert capacity_from_spectrum(cdf, 0.0) == 0.1
+    # The same draws as two cells of two: the third draw is 0.3.
+    cells = EmpiricalCdf(np.array([0.1, 0.3]), np.array([2, 4]), blocklength=8, trials=4)
+    assert capacity_from_spectrum(cells, 0.5) == 0.3
+    assert capacity_from_spectrum(cells, 0.0) == 0.1
 
 
 def test_mean_state_capacity():

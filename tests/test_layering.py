@@ -546,9 +546,14 @@ def test_optimize_discrete_rejects_non_finite():
 
 def _bisection_two_state_argmax(a, p, b, q):
     """The two-state solve the Newton iteration replaced: the same case
-    rule, then bisection on numpy scalars to the last float."""
+    rule, then bisection on numpy scalars to the last float.  s is
+    written as the solver writes it, (ap - bq) L(x_p) + bq (L(x_p) -
+    L(x_q)), since near a tie the plain difference is rounding noise
+    around the root."""
     def s(r):
-        return a * (1.0 - 2.0 * p) * layering._log_odds(r, p) - b * (1.0 - 2.0 * q) * layering._log_odds(r, q)
+        x_p, x_q = r + p - 2.0 * r * p, r + q - 2.0 * r * q
+        return ((a * (1.0 - 2.0 * p) - b * (1.0 - 2.0 * q)) * layering._log_odds(r, p)
+                + b * (1.0 - 2.0 * q) * np.log1p((q - p) * (1.0 - 2.0 * r) / (x_p * (1.0 - x_q))))
 
     if s(layering._R_MIN) <= 0.0:
         return 0.0
@@ -584,6 +589,9 @@ def _two_state_objective(a, p, b, q, r):
 
 @settings(max_examples=400, deadline=None)
 @given(_two_state_problems())
+# a = b (1 - ulp) with a subnormal q: the two log-odds terms cancel to
+# 1e-16 of their size near the root.
+@example((0.9999999999999999, 0.0, 1.0, 1.401298464324817e-45))
 def test_two_state_argmax_matches_bisection_oracle(problem):
     got = layering._two_state_argmax(*problem)
     want = _bisection_two_state_argmax(*problem)
@@ -593,6 +601,15 @@ def test_two_state_argmax_matches_bisection_oracle(problem):
     if 0.0 < got < 0.5:
         assert abs(got - want) <= 1e-9 * want
         assert _two_state_objective(*problem, got) >= _two_state_objective(*problem, want) - 1e-15
+
+
+def test_two_state_argmax_near_tie_root():
+    # The root of s for a = 1 - 2^-53, b = 1, p = 0, q = 1e-45, found by
+    # bisection at 60 digits.  Taking the difference of the two log-odds
+    # terms at full size put it at 8.8e-32.
+    root = 1.7826857271011179e-31
+    got = layering._two_state_argmax(0.9999999999999999, 0.0, 1.0, 1.401298464324817e-45)
+    assert abs(got - root) <= 1e-9 * root
 
 
 @pytest.mark.parametrize("a", [0.002, 0.003])

@@ -65,9 +65,14 @@ def test_info_density_bec():
         info_density_bec(1, 10, -0.1)
 
 
-def _cdf(values):
+def _cdf(values, counts=None):
     v = np.asarray(values, dtype=float)
-    return EmpiricalCdf(values=v, blocklength=8, trials=v.size)
+    cum = np.cumsum(np.ones(v.size, dtype=np.int64) if counts is None else counts)
+    return EmpiricalCdf(v, cum, blocklength=8, trials=int(cum[-1]) if cum.size else 0)
+
+
+def _counts(cdf):
+    return np.diff(cdf.cum_counts, prepend=0)
 
 
 def test_empirical_cdf_validation():
@@ -78,11 +83,22 @@ def test_empirical_cdf_validation():
     with pytest.raises(ValueError):
         _cdf([np.nan, 1.0])
     with pytest.raises(ValueError):
-        EmpiricalCdf(values=np.array([1.0, 2.0]), blocklength=8, trials=3)
+        EmpiricalCdf(np.array([1.0, 2.0]), np.array([1, 2]), blocklength=8, trials=3)
+    with pytest.raises(ValueError, match="positive"):
+        _cdf([1.0, 2.0], [1, 0])
+    with pytest.raises(ValueError, match="positive"):
+        _cdf([1.0, 2.0], [0, 2])
+    with pytest.raises(ValueError, match="integers"):
+        EmpiricalCdf(np.array([1.0, 2.0]), np.array([1.0, 2.0]), blocklength=8, trials=2)
+    with pytest.raises(ValueError, match="one per value"):
+        EmpiricalCdf(np.array([1.0, 2.0]), np.array([2]), blocklength=8, trials=2)
+    # Ties between cells are allowed.
+    tied = _cdf([1.0, 1.0, 2.0], [1, 2, 1])
+    assert tied.trials == 4 and tied.cum_counts.dtype == np.int64
 
 
 def test_empirical_cdf_evaluate():
-    cdf = _cdf([1.0, 2.0, 2.0, 3.0])
+    cdf = _cdf([1.0, 2.0, 3.0], [1, 2, 1])
     assert cdf.evaluate(0.5) == 0.0
     # right-continuous: the atom at 1.0 is included at alpha = 1.0
     assert cdf.evaluate(1.0) == 0.25
@@ -94,16 +110,77 @@ def test_empirical_cdf_evaluate():
     assert np.array_equal(out, [0.25, 0.75])
 
 
+def test_empirical_cdf_evaluate_rejects_non_finite_alpha():
+    # A NaN alpha used to get an estimated cdf of 1.
+    cdf = _cdf([1.0, 2.0, 3.0], [1, 2, 1])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alphas must be finite"):
+            cdf.evaluate(bad)
+        with pytest.raises(ValueError, match="alphas must be finite"):
+            cdf.evaluate(np.array([0.5, bad]))
+
+
 def test_cdf_quantile():
     cdf = _cdf([1.0, 2.0, 3.0, 4.0])
     assert cdf_quantile(cdf, 0.5) == 3.0
     assert cdf_quantile(cdf, 0.0) == 1.0
     assert cdf_quantile(cdf, 0.999) == 4.0
-    assert cdf_quantile(_cdf([1.0, 2.0, 2.0, 3.0]), 0.5) == 2.0
+    assert cdf_quantile(_cdf([1.0, 2.0, 3.0], [1, 2, 1]), 0.5) == 2.0
     with pytest.raises(ValueError):
         cdf_quantile(cdf, 1.0)
     with pytest.raises(ValueError):
         cdf_quantile(cdf, -0.1)
+
+
+def _sample_evaluate(samples, alpha):
+    """F_hat(alpha) over an expanded, sorted sample array."""
+    return np.asarray(np.searchsorted(samples, alpha, side="right"), dtype=float) / samples.size
+
+
+def _sample_quantile(samples, q):
+    """The (floor(q m) + 1)-th order statistic of an expanded sample array."""
+    m = samples.size
+    return float(samples[min(int(np.floor(q * m)), m - 1)])
+
+
+@st.composite
+def _cell_sets(draw):
+    """Sorted cells with ties between them, single cells and counts up
+    to 10^5 (expanded by the oracle, so kept small in total)."""
+    pool = draw(st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=1, max_size=4))
+    size = draw(st.integers(1, 8))
+    values = np.sort(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    count = st.integers(1, 3) | st.integers(1, 10**5)
+    counts = np.array(draw(st.lists(count, min_size=size, max_size=size)), dtype=np.int64)
+    return values, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=_cell_sets())
+def test_cell_cdf_matches_expanded_samples(cells):
+    values, counts = cells
+    cdf = _cdf(values, counts)
+    samples = np.repeat(values, counts)
+    m = samples.size
+    assert cdf.trials == m
+    distinct = np.unique(values)
+    alphas = np.concatenate([
+        values,
+        np.nextafter(values, -np.inf),
+        np.nextafter(values, np.inf),
+        0.5 * (distinct[1:] + distinct[:-1]),
+        [distinct[0] - 1.0, distinct[-1] + 1.0],
+    ])
+    assert cdf.evaluate(alphas).tobytes() == _sample_evaluate(samples, alphas).tobytes()
+    for alpha in alphas:
+        assert cdf.evaluate(float(alpha)) == float(_sample_evaluate(samples, float(alpha)))
+    ks = np.unique(np.concatenate([[0, 1, m // 2, m - 1], cdf.cum_counts - 1, cdf.cum_counts]))
+    qs = {0.0}
+    for k in ks[ks < m]:
+        q = k / m
+        qs.update((q, float(np.nextafter(q, 0.0)), float(np.nextafter(q, 1.0))))
+    for q in sorted(x for x in qs if 0.0 <= x < 1.0):
+        assert cdf_quantile(cdf, q) == _sample_quantile(samples, q)
 
 
 def test_estimate_spectrum_deterministic_and_sorted():
@@ -111,8 +188,11 @@ def test_estimate_spectrum_deterministic_and_sorted():
     a = estimate_spectrum(comp, n=200, trials=2000, seed=3)
     b = estimate_spectrum(comp, n=200, trials=2000, seed=3)
     assert np.array_equal(a.values, b.values)
-    assert a.trials == 2000 and a.values.size == 2000
-    assert np.all(np.diff(a.values) >= 0.0)
+    assert np.array_equal(a.cum_counts, b.cum_counts)
+    assert a.trials == 2000 and a.cum_counts[-1] == 2000
+    assert np.all(np.diff(a.values) >= 0.0) and np.all(_counts(a) >= 1)
+    # One cell per occupied (state, count) pair.
+    assert a.values.size <= 2 * 201
 
 
 def test_estimate_spectrum_bimodal_masses():
@@ -135,6 +215,8 @@ def test_estimate_spectrum_bimodal_masses():
 def test_estimate_spectrum_uniform_median():
     u = ContinuousBscComposite.uniform()
     cdf = estimate_spectrum(u, n=2000, trials=20000, seed=11)
+    # Every draw of a density is a cell of its own.
+    assert np.array_equal(cdf.cum_counts, np.arange(1, 20001))
     med = float(np.median(cdf.values))
     # limit spectrum hits 1/2 where the crossover quantile is 1/4
     assert abs(med - bsc_capacity(0.25)) < 0.02
@@ -143,10 +225,10 @@ def test_estimate_spectrum_uniform_median():
 def test_estimate_spectrum_deterministic_states_exact():
     noiseless = DiscreteComposite((BscState(0.0),), [1.0])
     cdf = estimate_spectrum(noiseless, n=50, trials=500, seed=0)
-    assert np.all(cdf.values == 1.0)
+    assert np.array_equal(cdf.values, [1.0]) and np.array_equal(cdf.cum_counts, [500])
     bec = DiscreteComposite((BecState(0.0), BecState(1.0)), [0.5, 0.5])
     cdf = estimate_spectrum(bec, n=50, trials=2000, seed=1)
-    assert set(np.unique(cdf.values)) == {0.0, 1.0}
+    assert np.array_equal(cdf.values, [0.0, 1.0]) and cdf.cum_counts[-1] == 2000
     assert 0.4 <= cdf.evaluate(0.0) <= 0.6
 
 
@@ -178,6 +260,18 @@ def test_estimate_spectrum_huge_blocklength():
     # Each draw sits at its state's capacity, 0.71 or 0.12.
     gap = np.minimum(abs(cdf.values - bsc_capacity(0.05)), abs(cdf.values - bsc_capacity(0.3)))
     assert np.allclose(gap, 0.0, atol=1e-5)
+
+
+def test_estimate_spectrum_cost_does_not_grow_with_trials():
+    # A state's histogram costs O(n) however many draws it holds, so
+    # 10^12 trials make at most n + 1 cells per state.
+    frozen = GilbertElliott(0.05, 0.3, g=0.0, b=0.0, pi_good=0.5)
+    n = 2000
+    start = time.perf_counter()
+    cdf = estimate_spectrum(frozen, n=n, trials=10**12, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert cdf.trials == 10**12 and cdf.cum_counts[-1] == 10**12
+    assert cdf.values.size <= 2 * (n + 1)
 
 
 def _per_draw_spectrum(composite, n, trials, seed, histograms=False):
@@ -256,7 +350,7 @@ def test_estimate_spectrum_direct_branch_matches_per_draw_oracle(comp, trials_n,
     trials, n = trials_n
     got = estimate_spectrum(comp, n=n, trials=trials, seed=seed)
     values = _per_draw_spectrum(comp, n, trials, seed)
-    assert got.values.tobytes() == values.tobytes()
+    assert np.repeat(got.values, _counts(got)).tobytes() == values.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -270,7 +364,7 @@ def test_estimate_spectrum_histogram_branch_matches_replay(comp, n, trials, seed
     # Small n against up to 400 trials: both branches, often in one call.
     got = estimate_spectrum(comp, n=n, trials=trials, seed=seed)
     values = _per_draw_spectrum(comp, n, trials, seed, histograms=True)
-    assert got.values.tobytes() == values.tobytes()
+    assert np.repeat(got.values, _counts(got)).tobytes() == values.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,7 +395,7 @@ def test_estimate_spectrum_huge_n_matches_oracle():
     n = 2**62
     got = estimate_spectrum(comp, n=n, trials=3000, seed=5)
     values = _per_draw_spectrum(comp, n, 3000, 5)
-    assert got.values.tobytes() == values.tobytes()
+    assert np.repeat(got.values, _counts(got)).tobytes() == values.tobytes()
 
 
 def _exact_atoms(composite, n):
@@ -343,7 +437,8 @@ def test_estimate_spectrum_within_dkw_band_of_exact_law(composite, n):
     assert np.all(np.isin(cdf.values, atoms))
     right = np.cumsum(mass)
     left = right - mass
-    f_right = np.searchsorted(cdf.values, atoms, side="right") / trials
-    f_left = np.searchsorted(cdf.values, atoms, side="left") / trials
+    f_right = cdf.evaluate(atoms)
+    below = np.concatenate([[0], cdf.cum_counts])
+    f_left = below[np.searchsorted(cdf.values, atoms, side="left")] / trials
     eps = np.sqrt(np.log(2.0 / 1e-6) / (2.0 * trials))
     assert max(np.abs(f_right - right).max(), np.abs(f_left - left).max()) <= eps
