@@ -29,8 +29,10 @@ from .channels import (
 )
 from .spectrum import EmpiricalCdf, cdf_quantile
 
-# Mass comparisons at pmf atoms tolerate accumulated float error.
-_ATOM_TOL = 1e-12
+# Mass comparisons at pmf atoms tolerate accumulated float error: a
+# cumulative mass m fits under q when m <= q (1 + _ATOM_RTOL).  The
+# allowance scales with q, so at q = 0 no atom of positive mass fits.
+_ATOM_RTOL = 1e-12
 
 # Steps of the continuous best-outage scan of [0, 1) and of each rescan;
 # two rescans leave a step of at most 2**-28 (4e-9) in q.
@@ -101,7 +103,7 @@ def _c_q(composite, q: np.ndarray) -> np.ndarray:
     if isinstance(law, ContinuousBscComposite):
         return bsc_capacity(law.inverse_cdf(1.0 - q))
     caps, weights = _worst_first(law)
-    idx = np.searchsorted(np.cumsum(weights), q + _ATOM_TOL, side="right")
+    idx = np.searchsorted(np.cumsum(weights), q * (1.0 + _ATOM_RTOL), side="right")
     idx = np.minimum(idx, np.nonzero(weights)[0][-1])
     return caps[idx]
 
@@ -159,7 +161,7 @@ def best_outage_rate(composite) -> tuple[float, float]:
             qs = np.linspace(qs[max(k - 1, 0)], qs[min(k + 1, qs.size - 1)], _OUTAGE_SCAN_POINTS + 1)
         return best_q, best_v
     masses = np.concatenate([[0.0], np.cumsum(_worst_first(law)[1])])
-    candidates = masses[masses < 1.0 - _ATOM_TOL]
+    candidates = masses[masses * (1.0 + _ATOM_RTOL) < 1.0]
     values = (1.0 - candidates) * _c_q(law, candidates)
     best_q, best_v = 0.0, -np.inf
     for qc, v in zip(candidates.tolist(), values.tolist()):

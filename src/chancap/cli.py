@@ -41,7 +41,7 @@ def _fmt(value) -> str:
 
 
 def _render(cfg: RunConfig, header, rows) -> str:
-    lines = [f"# chancap {cfg.subcommand} :: {cfg.canonical_string()}"]
+    lines = [f"# chancap {cfg.subcommand} :: {cfg.canonical_string()}".rstrip()]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -163,17 +163,14 @@ def _index_ranges(indices) -> str:
 def _mapdemo_rates(cfg: RunConfig, num_states: int) -> dict:
     """Subset rates from r_<labels> keys; labels are 1-based state digits."""
     rates = {}
-    for key, value in cfg.raw.items():
-        if not (key.startswith("r_") and key[2:].isdigit()):
-            continue
-        labels = key[2:]
+    for key in [k for k in cfg.raw if k.startswith("r_") and k[2:].isdigit()]:
         members = []
-        for ch in labels:
+        for ch in key[2:]:
             s = int(ch) - 1
             if not 0 <= s < num_states:
                 raise ConfigError(f"mapdemo: key {key} names state {ch} outside 1..{num_states}")
             members.append(s)
-        rates[tuple(members)] = float(value)
+        rates[tuple(members)] = float(cfg.raw[key])
     if not rates:
         # Worked example: common rate 0.3 plus 0.2 private to state 2.
         rates = {(0, 1): 0.3, (1,): 0.2}
@@ -205,7 +202,7 @@ def cmd_mapdemo(cfg: RunConfig, base_dir: Path) -> tuple[str, None]:
     def subset_label(p) -> str:
         return "{" + ",".join(str(s + 1) for s in p) + "}"
 
-    lines = [f"# chancap mapdemo :: {cfg.canonical_string()}"]
+    lines = [f"# chancap mapdemo :: {cfg.canonical_string()}".rstrip()]
     lines.append(f"blocklength n = {n}")
     lines.append(f"states = {num_states}, pmf = [{', '.join(_fmt(w) for w in pmf)}]")
     lines.append(f"total rate R_t = {_fmt(code.total_rate)} ({len(sets.i_t)} bits)")
@@ -292,16 +289,20 @@ def main(argv=None) -> int:
         cfg = RunConfig(subcommand=args.subcommand, raw=raw)
         base_dir = Path(args.config).resolve().parent if args.config else Path.cwd()
         text, header = _COMMANDS[args.subcommand](cfg, base_dir)
-        if cfg.out:
-            Path(cfg.out).write_text(text)
+        out = cfg.out  # read before the check: every run reads out
+        unread = cfg.unread()
+        if unread:
+            raise ConfigError(f"{args.subcommand} does not read {', '.join(unread)}")
+        if out:
+            Path(out).write_text(text)
         else:
             sys.stdout.write(text)
         if args.plot_script:
             if header is None:
                 raise ConfigError("mapdemo output is plain text; no plot script available")
-            if not cfg.out:
+            if not out:
                 raise ConfigError("--plot-script needs --out so the script can reference the CSV")
-            Path(args.plot_script).write_text(_plot_script(cfg.out, header))
+            Path(args.plot_script).write_text(_plot_script(out, header))
         return 0
     except (ConfigError, ValueError, OSError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

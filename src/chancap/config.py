@@ -1,15 +1,15 @@
 """Flat key=value run configuration.
 
 Config files are plain text: one `key = value` per line, `#` comments,
-blank lines ignored.  Every subcommand validates its keys against an
-explicit schema; unknown keys are rejected rather than silently
-ignored, so typos fail loudly.
+blank lines ignored.  A run records every key it reads, and a key it
+was given but never read is an error: a typo, a key of another family
+or subcommand, or a flag the run has no use for fails loudly instead of
+being silently ignored.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +71,6 @@ def _ints(value: str) -> list[int]:
     return out
 
 
-# Keys that describe the channel itself; every subcommand accepts them.
-CHANNEL_KEYS = {
-    "family", "states", "pmf", "erasures",
-    "p_good", "p_bad", "g", "b", "pi_good",
-    "density_file", "density_grid",
-}
-
-
 def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
     """Construct a composite channel from config keys.
 
@@ -137,51 +129,47 @@ def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
     raise ConfigError(f"unknown channel family {family!r}")
 
 
-@dataclass
+class _ReadTracking(dict):
+    """A dict that records every key asked for through `get` or `[]`."""
+
+    def __init__(self, raw: dict[str, str]):
+        super().__init__(raw)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 class RunConfig:
-    """Validated knobs for one CLI run."""
+    """The keys of one CLI run; `unread` lists those the run never asked for."""
 
-    subcommand: str
-    raw: dict[str, str] = field(default_factory=dict)
-    seed: int = 0
-    trials: int = 10000
-    grid: int = 101
-    out: str | None = None
+    def __init__(self, subcommand: str, raw: dict[str, str]):
+        self.subcommand = subcommand
+        self.raw = _ReadTracking(raw)
 
-    # Per-subcommand keys beyond the channel block.
-    EXTRA_KEYS = {
-        "capacity": {"q_min", "q_max"},
-        "spectrum": {"n", "alpha_grid"},
-        "broadcast": {"mode", "gammas", "profile_grid"},
-        "simulate": {"ns", "rate", "q", "epsilon"},
-        "mapdemo": {"n", "num_states"},
-    }
-    COMMON_KEYS = {"seed", "trials", "grid", "out"}
+    @property
+    def seed(self) -> int:
+        return int(self.raw.get("seed", "0"))
 
-    def __post_init__(self):
-        if self.subcommand not in self.EXTRA_KEYS:
-            raise ConfigError(f"unknown subcommand {self.subcommand!r}")
-        allowed = CHANNEL_KEYS | self.COMMON_KEYS | self.EXTRA_KEYS[self.subcommand]
-        if self.subcommand == "mapdemo":
-            # Subset rates arrive as r_<digits> keys, e.g. r_01=0.3.
-            unknown = {
-                k for k in self.raw
-                if k not in allowed and not (k.startswith("r_") and k[2:].isdigit())
-            }
-        else:
-            unknown = set(self.raw) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown keys for {self.subcommand}: {', '.join(sorted(unknown))}"
-            )
-        if "seed" in self.raw:
-            self.seed = int(self.raw["seed"])
-        if "trials" in self.raw:
-            self.trials = int(self.raw["trials"])
-        if "grid" in self.raw:
-            self.grid = int(self.raw["grid"])
-        if "out" in self.raw:
-            self.out = self.raw["out"]
+    @property
+    def trials(self) -> int:
+        return int(self.raw.get("trials", "10000"))
+
+    @property
+    def grid(self) -> int:
+        return int(self.raw.get("grid", "101"))
+
+    @property
+    def out(self) -> str | None:
+        return self.raw.get("out")
+
+    def unread(self) -> list[str]:
+        return sorted(self.raw.keys() - self.raw.read)
 
     def floats(self, key: str, default: str) -> list[float]:
         return _floats(self.raw.get(key, default))
@@ -194,8 +182,9 @@ class RunConfig:
 
         The output path is omitted: it does not affect the computation,
         so the same config produces the same bytes wherever they land.
+        The seed is recorded, default included, when the run read it.
         """
-        merged = dict(self.raw)
-        merged.setdefault("seed", str(self.seed))
-        merged.pop("out", None)
+        merged = {k: v for k, v in self.raw.items() if k != "out"}
+        if "seed" in self.raw.read:
+            merged.setdefault("seed", str(self.seed))
         return " ".join(f"{k}={merged[k]}" for k in sorted(merged))

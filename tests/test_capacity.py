@@ -258,6 +258,9 @@ def discrete_bsc(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(comp=discrete_bsc(), q1=st.floats(0.0, 0.98), q2=st.floats(0.0, 0.98))
+# An atom of mass 1e-13 is supported, so it bounds C_0 as it bounds the
+# Shannon capacity; an absolute 1e-12 allowance let it fit under q = 0.
+@example(comp=_bsc([(0.01, 1.0 - 1e-13), (0.4, 1e-13)]), q1=0.0, q2=0.0)
 def test_capacity_vs_outage_monotone(comp, q1, q2):
     lo, hi = sorted((q1, q2))
     assert capacity_vs_outage(comp, lo) <= capacity_vs_outage(comp, hi) + 1e-15
@@ -284,7 +287,7 @@ def _greedy_c_q(composite, q):
     for i in np.argsort(-params):
         if weights[i] == 0.0:
             continue
-        if removed + weights[i] <= q + 1e-12:
+        if removed + weights[i] <= q * (1.0 + 1e-12):
             removed += weights[i]
         else:
             return bsc_capacity(params[i]) if composite.family == "bsc" else 1.0 - params[i]

@@ -139,8 +139,8 @@ def test_broadcast_gamma(tmp_path, capsys):
 # profile and mode=gamma at its default gammas.  Cutoffs from Brent's
 # method at xtol 1e-15 give the same bytes.
 BROADCAST_SHA256 = {
-    "": "ff84784b4b92bf6f851968c9640457dca8717eb9c79d6494e8c6f4315b2da016",
-    "family=uniform\nmode=gamma\n": "9d877208fdefda96b966494833ab69a4027d529c34d7922a3731f68dfb1bb4e0",
+    "": "0569419d3aeb5678a2b8d5f85666b3149cc7821979da336ec1cde8ad29e76056",
+    "family=uniform\nmode=gamma\n": "6098a0e9103c2439bf13f74fa6dfd6f969c97be8fc6686802acf795718e3bb1b",
 }
 
 
@@ -273,6 +273,85 @@ def test_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_config_without_family_exits_2(tmp_path, capsys):
+    # Without family= the run builds the uniform law, which reads neither
+    # states= nor pmf=; it used to print the uniform law's table.
+    cfg = tmp_path / "bsc.cfg"
+    cfg.write_text("states=0.05,0.3\npmf=0.5,0.5\n")
+    out = tmp_path / "out.csv"
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: capacity does not read pmf, states\n"
+    assert not out.exists()
+    # A flag the run does not read is rejected like a config key.
+    assert main(["capacity", "--seed", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: capacity does not read seed\n")
+
+
+# The keys each run reads, by subcommand and family, broadcast mode, and
+# simulate's decoder sweep or uncoded BEC run: the command line's twin of
+# test_public_knob_inventory.  Every other key exits 2.
+CHANNEL_READS = {
+    "uniform": {"family", "density_grid"},
+    "bsc": {"family", "states", "pmf"},
+    "bec": {"family", "erasures", "pmf"},
+    "ge": {"family", "p_good", "p_bad", "g", "b", "pi_good"},
+    "density": {"family", "density_file"},
+    None: set(),
+}
+RUN_READS = {
+    "capacity": {"q_min", "q_max", "grid"},
+    "spectrum": {"n", "grid", "trials", "seed"},
+    "spectrum alpha_grid": {"n", "alpha_grid", "trials", "seed"},
+    "broadcast profile": {"mode", "profile_grid"},
+    "broadcast gamma": {"mode", "gammas"},
+    "simulate": {"ns", "rate", "q", "epsilon", "trials", "seed"},
+    "simulate bec": {"ns", "trials", "seed"},
+    "mapdemo": {"num_states", "n", "pmf", "r_12"},
+}
+FAMILIES = {
+    "capacity": list(CHANNEL_READS)[:-1],
+    "spectrum": list(CHANNEL_READS)[:-1],
+    "spectrum alpha_grid": ["uniform"],
+    "broadcast profile": ["uniform", "density"],
+    "broadcast gamma": ["uniform", "density"],
+    "simulate": ["uniform", "bsc", "ge", "density"],
+    "simulate bec": ["bec"],
+    "mapdemo": [None],
+}
+CLI_READS = {(run, family): RUN_READS[run] | CHANNEL_READS[family] | {"out"}
+             for run, families in FAMILIES.items() for family in families}
+KEY_VALUES = {
+    "family": "uniform", "density_grid": "257", "states": "0.05,0.3", "pmf": "0.5,0.5",
+    "erasures": "0.1,0.3", "p_good": "0.05", "p_bad": "0.3", "g": "0", "b": "0",
+    "pi_good": "0.5", "density_file": "flat.csv", "q_min": "0", "q_max": "0.9", "grid": "5",
+    "n": "20", "alpha_grid": "0.1,0.5", "trials": "50", "seed": "1", "mode": "profile",
+    "profile_grid": "9", "gammas": "1", "ns": "8", "rate": "0.15", "q": "0.5",
+    "epsilon": "0.01", "num_states": "2", "r_12": "0.3",
+}
+
+
+@pytest.mark.parametrize("run, family", list(CLI_READS))
+def test_cli_key_inventory(tmp_path, capsys, run, family):
+    (tmp_path / "flat.csv").write_text("".join(f"{p},2\n" for p in np.linspace(0.0, 0.5, 101).tolist()))
+    sub = run.split()[0]
+    # A broadcast run names its mode; no other run reads mode at all.
+    values = {**KEY_VALUES, "family": family or "uniform", "mode": run.split()[-1]}
+    reads = CLI_READS[run, family]
+
+    def call(keys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+        cfg.write_text("".join(f"{k}={values[k]}\n" for k in sorted(keys - {"out"})))
+        out.unlink(missing_ok=True)
+        status = main([sub, "--config", str(cfg), "--out", str(out)])
+        return status, out.exists(), capsys.readouterr().err
+
+    assert call(reads) == (0, True, "")
+    for key in sorted(KEY_VALUES.keys() - reads):
+        if run == "spectrum" and key == "alpha_grid":
+            continue  # alpha_grid replaces grid: its own run above
+        assert call(reads | {key}) == (2, False, f"error: {sub} does not read {key}\n")
+
+
 def test_codebook_memory_guard_exits_2(tmp_path, capsys):
     cfg = tmp_path / "big.cfg"
     cfg.write_text("family=bsc\nstates=0.05\npmf=1\nns=20\nrate=1\n")
@@ -321,17 +400,17 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys):
 # mixture, and BSC mixtures with a zero-mass atom and with tied
 # crossovers.
 CAPACITY_SHA256 = {
-    "": "632c4f0c4293297f9cfb5641814f9e92001bd43ce9896a9cfdd0a067915f33e5",
+    "": "3cd8428723f4551097dfd2472bbd295560650bc4a978def7f95c1454c16ae978",
     "family=ge\np_good=0.05\np_bad=0.3\npi_good=0.14\n":
-        "8fed80b7f8c07cdf627309cc3ee56676fde8c261c57ab071882ac596f9c2d65c",
+        "d9bc4a8852ef263fda2591fbf96b381aa052895bf05e7fc83029ee35ef427dba",
     "family=ge\np_good=0.05\np_bad=0.3\ng=0.2\nb=0.1\n":
-        "a20f078110b2deb59ecbd06ff05ba9e3ff104812c166b1cb234d358f0d7b9674",
+        "d5b98e64b520a17da2da2d1d94786c5fb4b5c44dedd6dc72d187f5f986b75399",
     "family=bec\nerasures=0,0.1,0.3\npmf=0.2,0.5,0.3\n":
-        "c3fce1ae3723aa96136637d481e48d55f67ff242e6e4a5e3c1dd72b7507c3add",
+        "ac8b99fc354d9a2b2786d3cee806ddf952b20762110f44d42a1e1e5573f050a6",
     "family=bsc\nstates=0.01,0.05,0.2,0.3,0.45\npmf=0.1,0.2,0.3,0,0.4\n":
-        "e726ca2c2d0247595032774ced0c71417e74434e13292af4837afb492bc8cc3f",
+        "2de00274984029393a36a242290ef73fb37712c20c24a9df9ca89d554c5ccdc4",
     "family=bsc\nstates=0.2,0.1,0.2,0.4\npmf=0.25,0.25,0.25,0.25\n":
-        "a31bb5d620eb67fec13dd6ace3c5f79ea36e2bb39c27da869d0fdf38a3dbd618",
+        "2910401e68dfc717b6c95c3422737cb6c3f4481ef3d1fc9fb8930b619f28cb50",
 }
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chancap import ContinuousBscComposite, DiscreteComposite, GilbertElliott
+from chancap.cli import main
 from chancap.config import (
     ConfigError,
     RunConfig,
@@ -98,25 +99,44 @@ def test_run_config_defaults_and_overrides():
     assert (cfg.seed, cfg.trials, cfg.grid, cfg.out) == (7, 99, 11, "x.csv")
 
 
-def test_run_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        RunConfig(subcommand="capacity", raw={"alpha_grid": "0.5"})
-    with pytest.raises(ConfigError):
-        RunConfig(subcommand="spectrum", raw={"q_min": "0"})
-    with pytest.raises(ConfigError):
-        RunConfig(subcommand="nonsense", raw={})
-    # no solver reads a tolerance, so none is accepted
-    with pytest.raises(ConfigError, match="tol"):
-        RunConfig(subcommand="capacity", raw={"tol": "1e-3"})
+def _run(tmp_path, sub, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.txt"
+    return main([sub, "--config", str(cfg), "--out", str(out)]), out
 
 
-def test_run_config_mapdemo_rate_keys():
-    cfg = RunConfig(subcommand="mapdemo", raw={"r_12": "0.3", "r_2": "0.2", "num_states": "2"})
-    assert cfg.raw["r_12"] == "0.3"
-    with pytest.raises(ConfigError):
-        RunConfig(subcommand="mapdemo", raw={"r_ab": "0.3"})
-    with pytest.raises(ConfigError):
-        RunConfig(subcommand="capacity", raw={"r_12": "0.3"})
+def test_run_config_rejects_unknown_keys(tmp_path, capsys):
+    # A key is read once asked for through get or [], set or not; a
+    # membership test does not read it.
+    cfg = RunConfig(subcommand="capacity", raw={"alpha_grid": "0.5", "tol": "1e-3", "q_max": "0.9"})
+    assert cfg.unread() == ["alpha_grid", "q_max", "tol"]
+    assert "tol" in cfg.raw
+    cfg.raw.get("q_min", "0")
+    cfg.raw["q_max"]
+    assert cfg.unread() == ["alpha_grid", "tol"]
+    # The run, not the construction, rejects what it did not read.
+    for sub, text, key in (
+        ("capacity", "alpha_grid=0.5\n", "alpha_grid"),
+        ("spectrum", "q_min=0\ntrials=10\ngrid=3\nn=10\n", "q_min"),
+        # no solver reads a tolerance, so none is accepted
+        ("capacity", "tol=1e-3\n", "tol"),
+    ):
+        status, out = _run(tmp_path, sub, text)
+        assert status == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {sub} does not read {key}\n"
+    with pytest.raises(SystemExit):
+        main(["nonsense"])
+
+
+def test_run_config_mapdemo_rate_keys(tmp_path, capsys):
+    status, out = _run(tmp_path, "mapdemo", "r_12=0.3\nr_2=0.2\nnum_states=2\n")
+    assert status == 0 and "subset {1,2}: rate 0.3" in out.read_text()
+    for sub, text, key in (("mapdemo", "r_ab=0.3\n", "r_ab"), ("capacity", "r_12=0.3\n", "r_12")):
+        out.unlink(missing_ok=True)
+        status, out = _run(tmp_path, sub, text)
+        assert status == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {sub} does not read {key}\n"
 
 
 def test_run_config_list_helpers():
@@ -130,5 +150,8 @@ def test_run_config_list_helpers():
 def test_canonical_string_omits_out():
     cfg = RunConfig(subcommand="capacity", raw={"q_max": "0.9", "out": "x.csv", "seed": "7"})
     assert cfg.canonical_string() == "q_max=0.9 seed=7"
-    # the default seed is recorded even when not set explicitly
-    assert RunConfig(subcommand="capacity", raw={}).canonical_string() == "seed=0"
+    # the default seed is recorded once the run has read it
+    cfg = RunConfig(subcommand="capacity", raw={})
+    assert cfg.canonical_string() == ""
+    assert cfg.seed == 0
+    assert cfg.canonical_string() == "seed=0"

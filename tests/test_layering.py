@@ -402,6 +402,62 @@ def test_expected_capacity_rejects_answer_below_outage_rate():
         expected_capacity_continuous(_two_bumps())
 
 
+def _piecewise_linear(knots, lo, hi):
+    """Knot values equally spaced on [lo, hi], interpolated onto 513 points."""
+    g = np.linspace(lo, hi, 513)
+    return _normalized(g, np.interp(g, np.linspace(lo, hi, len(knots)), knots))
+
+
+def _left_edge_ladder(density, n_states):
+    """discretize_density with each cell at its left edge, its best state:
+    the quantized channel is at least as good, so its optimum bounds C^e
+    from above."""
+    edges = np.linspace(0.0, density.support_sup(), n_states + 1)
+    w = np.maximum(np.diff(density.cdf(edges)), 0.0)
+    return optimize_discrete(w / w.sum(), edges[:-1])[1]
+
+
+# The first Euler band gives 0.0756876; the 64-state ladder reaches 0.0759462.
+BELOW_LADDER = ((0.374, 0.15, 0.627, 0.485), 0.0509, 0.408)
+
+
+def test_expected_capacity_rejects_answer_below_ladder():
+    with pytest.raises(SolverError, match="below the 64-state ladder"):
+        expected_capacity_continuous(_piecewise_linear(*BELOW_LADDER))
+
+
+# Euler roots on [0.1200, 0.1338] and [0.1697, 0.1753] of the band
+# [0.1200, 0.1753], none between: the clamped profile jumped from 0.036
+# to 1/2 at mid-band, and the integral forms read 0.31381 although the
+# 4096-state ladders put C^e in [0.300098, 0.300201].
+SPLIT_BAND = ((0.25, 0.5, 0.5, 0.375, 0.625, 0.0, 0.0), 0.0, 0.25)
+
+
+def test_layering_rejects_band_without_euler_root():
+    density = _piecewise_linear(*SPLIT_BAND)
+    for solve in (solve_layering, expected_capacity_continuous):
+        with pytest.raises(SolverError, match="no root inside the band"):
+            solve(density)
+
+
+@settings(max_examples=100, deadline=None)
+@given(knots=st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=3, max_size=15),
+       lo=st.floats(0.0, 0.1), hi=st.floats(0.25, 0.5))
+@example(*BELOW_LADDER)
+@example(*SPLIT_BAND)
+def test_expected_capacity_sandwich_on_random_laws(knots, lo, hi):
+    # Either the solve fails its certificates or it lies between the
+    # right-edge (achievable) and left-edge ladders.
+    assume(max(knots) > 0.0)
+    density = _piecewise_linear(knots, lo, hi)
+    try:
+        ce = expected_capacity_continuous(density)
+    except SolverError:
+        return
+    assert optimize_discrete(*discretize_density(density, 64))[1] - 1e-9 <= ce
+    assert ce <= _left_edge_ladder(density, 64) + 1e-9
+
+
 def test_density_without_band_gets_one_layer():
     # f ~ p^3 on [0, 0.2]: neither residual crosses 0, so both cutoffs
     # sit at the support edge.  The band of width zero is one layer at
