@@ -247,6 +247,22 @@ def _plot_script(csv_path: str, header: list[str]) -> str:
     ]) + "\n"
 
 
+# The run flags each subcommand reads, each setting the config key of
+# its name; the others would only be rejected as unread.
+_RUN_FLAGS = {
+    "capacity": ("grid",),
+    "spectrum": ("seed", "trials", "grid"),
+    "broadcast": (),
+    "simulate": ("seed", "trials"),
+    "mapdemo": (),
+}
+_FLAG_HELP = {
+    "seed": "master RNG seed",
+    "trials": "Monte Carlo trials",
+    "grid": "grid points for q/alpha tables",
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use.
@@ -269,9 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in descriptions.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials")
-        p.add_argument("--grid", type=int, help="grid points for q/alpha tables")
+        for flag in _RUN_FLAGS[name]:
+            p.add_argument(f"--{flag}", type=int, help=_FLAG_HELP[flag])
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--plot-script", dest="plot_script",
                        help="also write a gnuplot script for the emitted CSV")
@@ -282,7 +297,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         raw = dict(load_config(args.config)) if args.config else {}
-        for key in ("seed", "trials", "grid", "out"):
+        for key in (*_RUN_FLAGS[args.subcommand], "out"):
             value = getattr(args, key)
             if value is not None:
                 raw[key] = str(value)
@@ -293,15 +308,15 @@ def main(argv=None) -> int:
         unread = cfg.unread()
         if unread:
             raise ConfigError(f"{args.subcommand} does not read {', '.join(unread)}")
+        if args.plot_script and header is None:
+            raise ConfigError("mapdemo output is plain text; no plot script available")
+        if args.plot_script and not out:
+            raise ConfigError("--plot-script needs --out so the script can reference the CSV")
         if out:
             Path(out).write_text(text)
         else:
             sys.stdout.write(text)
         if args.plot_script:
-            if header is None:
-                raise ConfigError("mapdemo output is plain text; no plot script available")
-            if not out:
-                raise ConfigError("--plot-script needs --out so the script can reference the CSV")
             Path(args.plot_script).write_text(_plot_script(out, header))
         return 0
     except (ConfigError, ValueError, OSError, SolverError) as exc:

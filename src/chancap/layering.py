@@ -6,12 +6,15 @@ the region: auxiliary crossovers 0 = r_0 <= r_1 <= ... <= r_N = 1/2,
 layer i carrying rate h(r_i * p_i) - h(r_{i-1} * p_i), and state i
 decoding all layers j >= i.  The continuous-state limit replaces the
 cascade by a monotone profile r(p) whose optimality condition is an
-Euler equation with two cutoffs p_l (r = 0) and p_u (r = 1/2): states
-better than p_l decode everything, states worse than p_u get nothing.
+Euler equation with two cutoffs p_l (r = 0 below) and p_u (r = 1/2
+above): states better than p_l decode everything, states worse than
+p_u get nothing.  Where the pointwise solution falls, the profile is
+pooled flat by the same rule as the discrete cascade.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -207,6 +210,15 @@ def _log_odds(r, p):
     return np.log1p((1.0 - 2.0 * r) * (1.0 - 2.0 * p) / (r + p - 2.0 * r * p))
 
 
+def _two_product(x: float, y: float) -> tuple[float, float]:
+    """x * y as hi + lo with hi the rounded product, exact unless a part
+    underflows: Dekker's product on halves split off by 2^27 + 1 (no
+    math.fma before Python 3.13)."""
+    hi, c, d = x * y, 134217729.0 * x, 134217729.0 * y
+    x_hi, y_hi = c - (c - x), d - (d - y)
+    return hi, ((x_hi * y_hi - hi) + x_hi * (y - y_hi) + (x - x_hi) * y_hi) + (x - x_hi) * (y - y_hi)
+
+
 def _two_state_argmax(a: float, p: float, b: float, q: float) -> float:
     """Maximizer over r in [0, 1/2] of a h(r * p) - b h(r * q), 0 <= a <= b, p <= q.
 
@@ -234,19 +246,23 @@ def _two_state_argmax(a: float, p: float, b: float, q: float) -> float:
     """
     up, uq = 1.0 - 2.0 * p, 1.0 - 2.0 * q
     ap, bq = a * up, b * uq
+    # The tie coefficient a (1-2p) - b (1-2q) = (a - b) + 2 b q - 2 a p,
+    # rounded once from the exact sum of its parts: near a tie the two
+    # rounded products would leave only their rounding errors.
+    tie = math.fsum((a, -b, *_two_product(2.0 * b, q), *_two_product(-2.0 * a, p)))
 
-    # s = (ap - bq) L(x_p) + bq (L(x_p) - L(x_q)), the second term as
-    # one log1p: near a tie ap = bq the two terms of s cancel, and
+    # s = tie L(x_p) + bq (L(x_p) - L(x_q)), the second term as one
+    # log1p: near a tie ap = bq the two terms of s cancel, and
     # differencing them at full size would lose the root.
     def s(r: float) -> float:
         t = 1.0 - 2.0 * r
         x_p, x_q = r + p - 2.0 * r * p, r + q - 2.0 * r * q
-        return ((ap - bq) * math.log1p(t * up / x_p)
+        return (tie * math.log1p(t * up / x_p)
                 + bq * math.log1p((q - p) * t / (x_p * (1.0 - x_q))))
 
     if s(_R_MIN) <= 0.0:
         return 0.0
-    if a * up ** 2 >= b * uq ** 2:
+    if a * (up * up) >= b * (uq * uq):
         return 0.5
     lo, hi, r = _R_MIN, 0.5, 0.25
     while True:
@@ -275,6 +291,31 @@ def _two_state_argmax(a: float, p: float, b: float, q: float) -> float:
         r = step if lo < step < hi else mid
 
 
+def _pool(values: list[float], solve) -> tuple[np.ndarray, np.ndarray]:
+    """Pool adjacent violators: the best nondecreasing sequence for a sum
+    of per-element objectives, each unimodal, whose sum over any run of
+    adjacent elements is unimodal too.
+
+    `values[k]` is element k's own maximizer and `solve(i, k)` that of
+    the run of elements i..k-1.  Adjacent equal values start as one run,
+    since a sum of unimodal objectives that share a maximizer keeps it.
+    While a run's maximizer lies below the one to its left, the two
+    merge and the merged run is re-solved; each pooled run is then
+    constant at its maximizer, which is the exact optimum.
+
+    Returns each run's first element and its value.
+    """
+    runs: list[tuple[int, float]] = []  # (first element, value)
+    end = 0
+    for value, equal in itertools.groupby(values):
+        first, end = end, end + len(list(equal))
+        while runs and runs[-1][1] > value:
+            first = runs.pop()[0]
+            value = solve(first, end)
+        runs.append((first, value))
+    return np.array([first for first, _ in runs], dtype=int), np.array([value for _, value in runs])
+
+
 def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
     """Maximize the discrete layered expected rate over the r chain.
 
@@ -287,12 +328,10 @@ def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
     maximizer is 0, 1/2 or the unique stationary point
     (_two_state_argmax).
 
-    Pooling rule (pool-adjacent-violators): solve each layer as its own
-    two-state problem; while a run's maximizer lies below the one to
-    its left, merge the two runs and re-solve the merged run as one
+    Each layer is solved as its own two-state problem, and ordering
+    violators are pooled (_pool), each pooled run re-solved as one
     two-state problem.  Since the sum over every run of adjacent layers
-    is unimodal, the best nondecreasing chain on each pooled run is
-    constant, so the pooled chain is the exact optimum.
+    is unimodal, the pooled chain is the exact optimum.
 
     The answer is certified by the first-order conditions: within each
     run (value v) the prefix sums of the gradient are >= 0 unless
@@ -314,18 +353,10 @@ def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
     cum_w = np.cumsum(w)
     cw, ps = cum_w.tolist(), p.tolist()
 
-    # Runs as (first layer, value); layer k couples states k and k+1.
-    runs: list[tuple[int, float]] = []
-    for k in range(p.size - 1):
-        first, value = k, _two_state_argmax(cw[k], ps[k], cw[k + 1], ps[k + 1])
-        while runs and runs[-1][1] > value:
-            first = runs.pop()[0]
-            value = _two_state_argmax(cw[first], ps[first], cw[k + 1], ps[k + 1])
-        runs.append((first, value))
-
-    starts = np.array([first for first, _ in runs], dtype=int)
+    starts, levels = _pool(list(map(_two_state_argmax, cw[:-1], ps[:-1], cw[1:], ps[1:])),
+                           lambda i, k: _two_state_argmax(cw[i], ps[i], cw[k], ps[k]))
     lengths = np.diff(np.append(starts, p.size - 1))
-    v = np.repeat([val for _, val in runs], lengths)
+    v = np.repeat(levels, lengths)
 
     # By telescoping, the gradient summed over layers i..j of a run is
     # T_i - T_{j+1} with T_s = W_s (1-2p_s) L(v p_s): each condition
@@ -448,30 +479,28 @@ def _inverse_sinhc(s: np.ndarray) -> np.ndarray:
 
 
 def _euler_r(p: np.ndarray, density) -> np.ndarray:
-    """Pointwise Euler solutions r(p) in [0, 1/2] for an array of p.
+    """Pointwise optimum r(p) in [0, 1/2] for an array of p.
 
-    The LHS at x = p * r is 2 sinh(y)/y with y = ln(1/x - 1)
-    (euler_lhs), so LHS(p * r) = RHS(p) is sinh(y)/y = RHS(p)/2, one
-    monotone equation in y whose form does not depend on p.  Its root
-    (_inverse_sinhc) gives x = 1/2 - tanh(y/2)/2 and
-    r = (x - p)/(1 - 2p).  The root lies in [0, 1/2] exactly where the
-    residual changes sign between r = 0 and r = 1/2; points without a
-    sign change lie outside the cutoff band and get NaN (callers map it
-    to 0 below p_l, 1/2 above p_u).
+    The r-derivative of the Euler integrand has the sign of the residual
+    LHS(p * r) - RHS(p), which decreases in r from LHS(p) - RHS(p) to
+    2 - RHS(p).  Where it changes sign the optimum is its root: the LHS
+    at x = p * r is 2 sinh(y)/y with y = ln(1/x - 1) (euler_lhs), so
+    LHS(p * r) = RHS(p) is sinh(y)/y = RHS(p)/2, one monotone equation
+    in y whose form does not depend on p.  Its root (_inverse_sinhc)
+    gives x = 1/2 - tanh(y/2)/2 and r = (x - p)/(1 - 2p).  Elsewhere the
+    residual has one sign: r = 0 where RHS(p) >= LHS(p), r = 1/2 where
+    RHS(p) <= 2.
     """
     rhs = euler_rhs(p, density)
-    # Residual positive at r = 0, negative at r = 1/2 (where the LHS is 2).
     inside = (euler_lhs(np.maximum(p, EPS)) > rhs) & (rhs > 2.0)
-    x = 0.5 - 0.5 * np.tanh(0.5 * _inverse_sinhc(0.5 * rhs[inside]))
-    p_in = p[inside]
-    r = np.full(p.shape, np.nan)
-    r[inside] = (x - p_in) / (1.0 - 2.0 * p_in)
+    r, p_in = np.where(rhs > 2.0, 0.0, 0.5), p[inside]
+    r[inside] = (0.5 - 0.5 * np.tanh(0.5 * _inverse_sinhc(0.5 * rhs[inside])) - p_in) / (1.0 - 2.0 * p_in)
     return r
 
 
 def solve_euler_r(p: float, density) -> float:
-    """Pointwise Euler solution r(p) in [0, 1/2], or NaN outside the
-    cutoff band; the one-point call of the grid solve."""
+    """Pointwise optimum r(p) in [0, 1/2]: the Euler root, or 0 or 1/2
+    where there is none; the one-point call of the grid solve."""
     return float(_euler_r(np.array([p], dtype=float), density)[0])
 
 
@@ -502,33 +531,36 @@ def _bisect(fn, lo: float, hi: float) -> float:
 
 
 def find_cutoffs(density) -> CutoffPair:
-    """Cutoff probabilities: r(p_l) = 0 and r(p_u) = 1/2 boundaries.
+    """Cutoff probabilities: the band [p_l, p_u] where r leaves 0 and 1/2.
 
     Both are roots of the Euler condition multiplied through by F, so
-    that it is defined where F = 0: p_u is where 4F - (1 - 2p) f rises
-    through 0 (RHS(p) = 2, the LHS limit at r = 1/2) and p_l where
-    LHS(p) F - ((1 - 2p) f - 2F) does (LHS = RHS at r = 0).  Both
+    that it is defined where F = 0: p_l where LHS(p) F - ((1 - 2p) f - 2F)
+    rises through 0 (LHS = RHS at r = 0), below which the pointwise
+    optimum is r = 0, and p_u where 4F - (1 - 2p) f does (RHS(p) = 2,
+    the LHS limit at r = 1/2), above which it is r = 1/2.  Both
     residuals are negative just above the bottom of the support.  Each
-    is scanned on the law's knots up to the top of the support, and its
-    first upward crossing brackets the root in one cell.  On that cell
-    f is linear and F its exact integral, read from the end knots, and
-    a bisection in floats runs to adjacent floats: each root is exact
-    to the last float of the law's own polynomial (the uniform law's
-    p_u is 1/6).  Without a crossing the cutoff is the top of the
-    support; p_l = p_u is a band of width zero, one layer at p_u.
+    is scanned on the law's knots up to the top of the support: p_l
+    takes the first upward crossing, p_u the one that starts the final
+    positive stretch, so that between them lie every Euler band and
+    every stretch _layering pools.  On the bracketing cell f is linear
+    and F its exact integral, read from the end knots, and a bisection
+    in floats runs to adjacent floats: each root is exact to the last
+    float of the law's own polynomial (the uniform law's p_u is 1/6).
+    Without such a crossing the cutoff is the top of the support;
+    p_l = p_u is a band of width zero, one layer at p_u.
     """
     _require_density(density, "find_cutoffs")
     ps = density.grid[:int(np.searchsorted(density.grid, density.support_sup())) + 1]
     f, big_f = density.pdf(ps), density.cdf(ps)
 
-    def root_on(vals: np.ndarray, residual) -> float:
+    def root_on(vals: np.ndarray, residual, last: bool = False) -> float:
         # Where F = 0 both residuals are -(1 - 2p) f <= 0.  An upward
         # step from below 0, or from a 0 where f = F = 0, is a crossing;
         # a step down never is.
         crossing = np.nonzero(np.diff(np.sign(vals)) > 0.0)[0]
-        if crossing.size == 0:
+        if crossing.size == 0 or (last and vals[-1] <= 0.0):
             return float(ps[-1])
-        k = int(crossing[0])
+        k = int(crossing[-1 if last else 0])
         a, b = float(ps[k]), float(ps[k + 1])
         f_a, big_f_a = float(f[k]), float(big_f[k])
         # The same operations as ContinuousBscComposite.cdf.
@@ -542,34 +574,32 @@ def find_cutoffs(density) -> CutoffPair:
 
     # Clamping p = 0, where F = 0, leaves LHS * F finite.
     p_u = root_on(4.0 * big_f - (1.0 - 2.0 * ps) * f,
-                  lambda p, f_p, big_f_p: 4.0 * big_f_p - (1.0 - 2.0 * p) * f_p)
+                  lambda p, f_p, big_f_p: 4.0 * big_f_p - (1.0 - 2.0 * p) * f_p, last=True)
     p_l = root_on(euler_lhs(np.maximum(ps, EPS)) * big_f - ((1.0 - 2.0 * ps) * f - 2.0 * big_f),
                   lambda p, f_p, big_f_p: _lhs(max(p, EPS)) * big_f_p - ((1.0 - 2.0 * p) * f_p - 2.0 * big_f_p))
     return CutoffPair(p_l=min(p_l, p_u), p_u=p_u)
 
 
 def _layering(density, band: CutoffPair, num: int) -> LayerProfile:
-    """Solve the Euler equation on a grid over the band [p_l, p_u], all
-    interior points in one array pass."""
+    """The optimal layer profile on a grid over the band [p_l, p_u].
+
+    r(p_l) = 0, and every later grid point starts at its pointwise
+    optimum (_euler_r), the top one included.  Where that falls, the
+    optimum runs flat: a run of points at one level v on [a, b] gains
+    F(a) h(v * a) - F(b) h(v * b) in all (Myerson's ironing, the
+    continuum form of optimize_discrete's pooling), so the runs are
+    pooled as two-state problems between the grid points a and b.
+    """
     if not band.p_l < band.p_u:
         raise ValueError("solve_layering: the cutoff band has zero width; one layer at p_u is optimal")
     grid = np.linspace(band.p_l, band.p_u, num)
-    r = np.empty(num)
-    r[0], r[-1] = 0.0, 0.5
-    inner = grid[1:-1]
-    # Roundoff at the band edges leaves no sign change: clamp those
-    # points to the nearer boundary.  A point without a root between two
-    # solved ones means the band holds more than one Euler band, and the
-    # clamped profile would jump to 1/2 in one cell, which the integral
-    # forms overrate.
-    nearer = np.where(inner - band.p_l < band.p_u - inner, 0.0, 0.5)
-    val = _euler_r(inner, density)
-    solved = np.flatnonzero(~np.isnan(val))
-    if solved.size and np.isnan(val[solved[0]:solved[-1]]).any():
-        raise SolverError("solve_layering: the Euler equation has no root inside the band")
-    r[1:-1] = np.where(np.isnan(val), nearer, val)
-    r = np.maximum.accumulate(r)
-    return LayerProfile(grid=grid, r=r)
+    r = _euler_r(grid[1:], density)
+    # The pooling loop runs in Python, so a profile that never falls skips it.
+    if (r[1:] < r[:-1]).any():
+        big_f, g = density.cdf(grid).tolist(), grid.tolist()
+        starts, levels = _pool(r.tolist(), lambda i, k: _two_state_argmax(big_f[i], g[i], big_f[k], g[k]))
+        r = np.repeat(levels, np.diff(np.append(starts, r.size)))
+    return LayerProfile(grid=grid, r=np.concatenate([[0.0], r]))
 
 
 def solve_layering(density, num: int = _PROFILE_POINTS) -> LayerProfile:
@@ -581,17 +611,17 @@ def rate_profile(layer: LayerProfile) -> RateProfile:
     """Integrate the incremental layer rates down from the worst state.
 
     -dR(p) = log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp, so
-    R(p) = integral from p to the top of the grid; r' by central
-    differences, integral by trapezoid.  R vanishes above p_u (r is
-    flat at 1/2 there) and plateaus below p_l.
+    R(p) = J + integral from p to the top p_u of the grid; r' by central
+    differences, integral by trapezoid.  J = 1 - h(p_u * r(p_u)) is the
+    top layer r(p_u) -> 1/2, which every state up to p_u decodes (0 when
+    r(p_u) = 1/2).  R vanishes above p_u and plateaus below p_l.
     """
     g, r = layer.grid, layer.r
     x = np.clip(star(g, r), EPS, 1.0 - EPS)
     integrand = np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * np.gradient(r, g)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(g))])
-    rates = cum[-1] - cum
-    rates = np.maximum(rates, 0.0)
-    return RateProfile(grid=g, rates=rates)
+    top = 1.0 - binary_entropy(float(x[-1])) if r[-1] < 0.5 else 0.0
+    return RateProfile(grid=g, rates=np.maximum(cum[-1] - cum, 0.0) + top)
 
 
 def _expected_rate(density, prof: RateProfile) -> float:
@@ -607,27 +637,27 @@ def expected_capacity_continuous(density, num: int = _PROFILE_POINTS) -> float:
 
     Solves the layering, then evaluates
     C^e = integral F(p) log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp,
+    plus F(p_u) J for the top layer J = 1 - h(p_u * r(p_u)) (rate_profile),
     cross-checked against the integration-by-parts form
     F(p_l) R(p_l) + integral f(p) R(p) dp; the two must agree to 1e-6.
-    A band of width zero is one layer at p_u, decoded by every state
-    up to p_u: C^e = F(p_u) (1 - h(p_u)).  A single-layer outage code and
-    the 64-state right-edge ladder (discretize_density) are admissible
+    A band of width zero is the top layer alone, with r(p_u) = 0:
+    C^e = F(p_u) (1 - h(p_u)).  A single-layer outage code and the
+    64-state right-edge ladder (discretize_density) are admissible
     codes, so C^e below either (less 1e-9) means the solve failed: the
-    certificates raise SolverError, as does a band with a stretch of
-    points that have no Euler root (solve_layering).
+    certificates raise SolverError.
     """
     band = find_cutoffs(density)
-    if band.p_l == band.p_u:
-        value = density.cdf(band.p_u) * (1.0 - binary_entropy(band.p_u))
-    else:
+    value, top = 0.0, 1.0 - binary_entropy(band.p_u)
+    if band.p_l < band.p_u:
         layer = _layering(density, band, num)
+        prof = rate_profile(layer)
         g, r = layer.grid, layer.r
         x = np.clip(star(g, r), EPS, 1.0 - EPS)
         weight = density.cdf(g) * np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * np.gradient(r, g)
-        value = float(np.trapezoid(weight, g))
-        alt = _expected_rate(density, rate_profile(layer))
-        if abs(value - alt) > 1e-6:
+        value, top = float(np.trapezoid(weight, g)), float(prof.rates[-1])
+        if abs(value + density.cdf(band.p_u) * top - _expected_rate(density, prof)) > 1e-6:
             raise SolverError("expected_capacity_continuous: integral forms disagree")
+    value += float(density.cdf(band.p_u)) * top
     if value < best_outage_rate(density)[1] - 1e-9:
         raise SolverError("expected_capacity_continuous: below the best outage rate")
     if value < optimize_discrete(*discretize_density(density, _CERTIFY_STATES))[1] - 1e-9:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,17 +248,22 @@ def test_plot_script(tmp_path):
 
 
 def test_plot_script_requires_out(tmp_path, capsys):
+    # Checked before any output: the table used to reach stdout first.
     script = tmp_path / "cap.gp"
     assert main(["capacity", "--grid", "3", "--plot-script", str(script)]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --plot-script needs --out")
     assert not script.exists()
 
 
 def test_plot_script_rejected_for_mapdemo(tmp_path, capsys):
+    # Checked before any output: the --out file used to be left behind.
     out = tmp_path / "map.txt"
     script = tmp_path / "map.gp"
     assert main(["mapdemo", "--out", str(out), "--plot-script", str(script)]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: mapdemo output is plain text")
+    assert not out.exists() and not script.exists()
 
 
 def test_error_exit_codes(tmp_path, capsys):
@@ -282,9 +288,27 @@ def test_config_without_family_exits_2(tmp_path, capsys):
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: capacity does not read pmf, states\n"
     assert not out.exists()
-    # A flag the run does not read is rejected like a config key.
-    assert main(["capacity", "--seed", "3"]) == 2
-    assert capsys.readouterr() == ("", "error: capacity does not read seed\n")
+    # A run flag the subcommand does not read is not offered at all.
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "--seed", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --seed 3" in captured.err
+
+
+@pytest.mark.parametrize("sub, flags", [
+    ("capacity", {"--grid"}),
+    ("spectrum", {"--seed", "--trials", "--grid"}),
+    ("broadcast", set()),
+    ("simulate", {"--seed", "--trials"}),
+    ("mapdemo", set()),
+])
+def test_help_lists_only_flags_the_run_reads(capsys, sub, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--(?:seed|trials|grid)\b", capsys.readouterr().out))
+    assert listed == flags
 
 
 # The keys each run reads, by subcommand and family, broadcast mode, and
@@ -467,7 +491,8 @@ def test_nan_inputs_exit_2(tmp_path, capsys):
         ("broadcast", "mode=gamma\ngammas=1,inf\n", "finite"),
     ):
         cfg.write_text(text)
-        assert main([sub, "--config", str(cfg), "--trials", "10"]) == 2
+        trials = ["--trials", "10"] if sub != "broadcast" else []
+        assert main([sub, "--config", str(cfg), *trials]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
         assert word in captured.err
@@ -568,6 +593,28 @@ def test_capacity_of_smooth_bump(tmp_path, capsys):
     _, data = _rows(capsys.readouterr().out)
     ladder = layering.optimize_discrete(*layering.discretize_density(ContinuousBscComposite(g, f), 4096))[1]
     assert ladder <= data[0, 3] <= ladder + 1e-7
+
+
+def test_two_bump_density_is_layered_over_its_last_band(tmp_path, capsys):
+    # Three Euler bands.  `capacity` used to exit 2, and `broadcast`
+    # printed the first band's profile (r rising near p = 0.13).  The
+    # pooled profile stays at 0 up to the last band, near p = 0.27.
+    g = np.linspace(0.0, 0.4, 1025)
+    f = 0.3 * np.exp(-0.5 * ((g - 0.1) / 0.02) ** 2) + 0.7 * np.exp(-0.5 * ((g - 0.25) / 0.02) ** 2)
+    cfg = _density_config(tmp_path, "bumps", g, f / np.trapezoid(f, g))
+    assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    ce = data[0, 3]
+    assert ce == pytest.approx(0.14096928, abs=1e-8)
+    assert main(["broadcast", "--config", str(cfg)]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    p, r, rate = data.T
+    assert np.all(np.diff(r) >= 0.0) and np.all(np.diff(rate) <= 0.0)
+    assert np.all(r[p < 0.26] == 0.0) and np.all(r[p > 0.275] == 0.5)
+    cfg.write_text(cfg.read_text() + "mode=gamma\ngammas=1,2\n")
+    assert main(["broadcast", "--config", str(cfg)]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    assert np.all(data[:, 3] == ce) and np.all(data[:, 1:3] <= ce + 1e-9)
 
 
 def test_cli_runs_without_scipy(tmp_path):

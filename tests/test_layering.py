@@ -1,6 +1,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -77,6 +78,33 @@ def _two_bumps():
     return _normalized(g, f)
 
 
+TWO_BUMPS = _two_bumps()
+
+
+def _piecewise_linear(knots, lo, hi):
+    """Knot values equally spaced on [lo, hi], interpolated onto 513 points."""
+    g = np.linspace(lo, hi, 513)
+    return _normalized(g, np.interp(g, np.linspace(lo, hi, len(knots)), knots))
+
+
+# The first Euler band gave 0.0756876; the 64-state ladder reaches 0.0759462.
+BELOW_LADDER = ((0.374, 0.15, 0.627, 0.485), 0.0509, 0.408)
+
+# Euler roots on [0.1200, 0.1338] and [0.1697, 0.1753] of the band
+# [0.1200, 0.1753], none between: a profile clamped to 0 or 1/2 there
+# jumped from 0.036 to 1/2 at mid-band, and the integral forms read
+# 0.31381.
+SPLIT_BAND = ((0.25, 0.5, 0.5, 0.375, 0.625, 0.0, 0.0), 0.0, 0.25)
+
+# r(p_u) = 0 at the support top: the whole code is the top layer,
+# C^e = 1 - h(0.2608).
+TOP_LAYER = ((0.185, 0.082, 0.619), 0.0936, 0.2608)
+
+
+# Its profile is pooled at an interior level on most of its band.
+BELOW_LADDER_LAW = _piecewise_linear(*BELOW_LADDER)
+
+
 def _smooth_bump():
     g = np.linspace(0.0, 0.5, 257)
     return _normalized(g, 0.3 + np.exp(-(((g - 0.15) / 0.06) ** 2)))
@@ -84,44 +112,73 @@ def _smooth_bump():
 
 def _brentq_euler_r(p, density):
     """A per-point Euler solve independent of the closed form: Brent's
-    method on LHS(p * r) = RHS(p), NaN where r = 0 and r = 1/2 give no
-    sign change."""
+    method on LHS(p * r) = RHS(p); where r = 0 and r = 1/2 give no sign
+    change, 1/2 if RHS(p) <= 2 and 0 otherwise."""
     rhs = euler_rhs(p, density)
-    if euler_lhs(max(p, EPS)) - rhs <= 0.0 or 2.0 - rhs >= 0.0:
-        return float("nan")
+    if 2.0 - rhs >= 0.0:
+        return 0.5
+    if euler_lhs(max(p, EPS)) - rhs <= 0.0:
+        return 0.0
     return brentq(lambda r: euler_lhs(p + r - 2.0 * p * r) - rhs, 0.0, 0.5, xtol=1e-12)
 
 
 def _brentq_cutoffs(density):
     """find_cutoffs' roots by an independent route: the Euler condition
-    in its RHS form, each root bracketed by its first crossing in the
-    declared direction on a 4096-point scan where F > 0, then Brent's
-    method at xtol 1e-15."""
+    in its RHS form on a 4096-point scan where F > 0, then Brent's method
+    at xtol 1e-15.  p_l is bracketed by the first crossing in the
+    declared direction, p_u by the last, which starts the final stretch
+    of RHS < 2 on each law tested here."""
     ps = np.linspace(max(float(density.grid[0]), 1e-9), density.support_sup(), 4096)
     ps = ps[density.cdf(ps) > 0.0]
 
-    def root(fn, sign):
+    def root(fn, sign, pick):
         vals = sign * fn(ps)
-        k = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0][0]
+        k = np.nonzero((vals[:-1] < 0.0) & (vals[1:] >= 0.0))[0][pick]
         return brentq(fn, ps[k], ps[k + 1], xtol=1e-15)
 
-    p_u = root(lambda p: euler_rhs(p, density) - 2.0, -1.0)
-    p_l = root(lambda p: euler_lhs(np.maximum(p, EPS)) - euler_rhs(p, density), 1.0)
+    p_u = root(lambda p: euler_rhs(p, density) - 2.0, -1.0, -1)
+    p_l = root(lambda p: euler_lhs(np.maximum(p, EPS)) - euler_rhs(p, density), 1.0, 0)
     return CutoffPair(p_l, p_u)
 
 
 def _brentq_layering(density, num, cut):
-    """solve_layering's profile on the band `cut` from one scalar Brent
-    solve per point."""
+    """The pointwise optima on solve_layering's grid over the band `cut`,
+    from one scalar Brent solve per point, with r = 0 at p_l."""
     grid = np.linspace(cut.p_l, cut.p_u, num)
-    r = np.empty(num)
-    r[0], r[-1] = 0.0, 0.5
-    for i in range(1, num - 1):
-        val = _brentq_euler_r(float(grid[i]), density)
-        if math.isnan(val):
-            val = 0.0 if grid[i] - cut.p_l < cut.p_u - grid[i] else 0.5
-        r[i] = val
-    return grid, np.maximum.accumulate(r)
+    r = np.array([0.0] + [_brentq_euler_r(float(p), density) for p in grid[1:]])
+    return grid, r
+
+
+def _flat_runs(r):
+    """(first, end) of each maximal run of at least two equal entries of r."""
+    edges = [0, *(np.flatnonzero(np.diff(r)) + 1).tolist(), r.size]
+    return [(i, k) for i, k in zip(edges[:-1], edges[1:]) if k - i >= 2]
+
+
+def _check_against_pointwise(density, layer, pointwise):
+    """The solved profile is nondecreasing and equals the pointwise optima
+    to 1e-11 off its pooled runs: the flat runs where the pointwise
+    optima differ from the run's level.  An interior pooled level v on
+    the grid points a..b balances the run's two-state problem between
+    the point before it and its last point:
+    T(p) = F(p) (1 - 2p) L(v * p), L(x) = ln(1/x - 1), is equal there to
+    1e-9 relative.  Returns the number of pooled runs."""
+    r, g = layer.r, layer.grid
+    assert np.all(np.diff(r) >= 0.0)
+    off = np.ones(r.size, dtype=bool)
+    pooled = 0
+    for i, k in _flat_runs(r):
+        v = r[i]
+        if np.all(np.abs(pointwise[i:k] - v) <= 1e-11):
+            continue
+        pooled += 1
+        off[i:k] = False
+        if 0.0 < v < 0.5:
+            t_a, t_b = (float(density.cdf(p)) * (1.0 - 2.0 * p) * math.log(1.0 / star(p, v) - 1.0)
+                        for p in (float(g[i - 1]), float(g[k - 1])))
+            assert abs(t_a - t_b) <= 1e-9 * abs(t_b)
+    assert np.max(np.abs(r[off] - pointwise[off])) <= 1e-11
+    return pooled
 
 
 def test_euler_lhs():
@@ -149,9 +206,10 @@ def test_solve_euler_r():
     r = solve_euler_r(0.15, UNIFORM)
     assert r == pytest.approx(0.07952307504687503, abs=1e-9)
     assert abs(euler_lhs(star(0.15, r)) - euler_rhs(0.15, UNIFORM)) < 1e-9
-    # outside the cutoff band there is no root
-    assert np.isnan(solve_euler_r(0.10, UNIFORM))
-    assert np.isnan(solve_euler_r(0.20, UNIFORM))
+    # Outside the cutoff band there is no root, and the residual's one
+    # sign puts the pointwise optimum at 0 below p_l and at 1/2 above p_u.
+    assert solve_euler_r(0.10, UNIFORM) == 0.0
+    assert solve_euler_r(0.20, UNIFORM) == 0.5
 
 
 @pytest.mark.parametrize("density, num", [
@@ -159,14 +217,17 @@ def test_solve_euler_r():
     (_triangle(), 1025),
     (_truncated_exponential(), 1025),
     (_beta(2.0, 3.0), 1025),
-    (_two_bumps(), 1025),
+    (TWO_BUMPS, 1025),
     (_smooth_bump(), 1025),
+    (BELOW_LADDER_LAW, 1025),
 ])
 def test_solve_layering_matches_brentq_oracle(density, num):
     layer = solve_layering(density, num=num)
     grid, r = _brentq_layering(density, num, find_cutoffs(density))
     assert np.array_equal(layer.grid, grid)
-    assert np.max(np.abs(layer.r - r)) <= 1e-11
+    # Only the two multi-band laws have falling pointwise optima to pool.
+    pooled = _check_against_pointwise(density, layer, r)
+    assert (pooled > 0) == (density is TWO_BUMPS or density is BELOW_LADDER_LAW)
 
 
 def _log_sinhc(y):
@@ -305,9 +366,11 @@ def test_rate_profile_uniform():
 
 
 def test_rate_profile_constant_r_carries_nothing():
+    # No increment: every state up to the grid top gets the top layer
+    # r(0.4) = 1/4 -> 1/2 alone.
     g = np.linspace(0.1, 0.4, 101)
     prof = rate_profile(LayerProfile(g, np.full(101, 0.25)))
-    assert np.abs(prof.rates).max() < 1e-15
+    assert np.abs(prof.rates - bsc_capacity(star(0.4, 0.25))).max() < 1e-15
 
 
 def test_rate_profile_step_matches_single_cutoff():
@@ -395,19 +458,6 @@ def test_expected_capacity_sandwich_on_beta(a, b):
     assert best_outage_rate(d)[1] - 1e-9 <= ce <= mean_state_capacity(d)
 
 
-def test_expected_capacity_rejects_answer_below_outage_rate():
-    # Two separated bands: the single-band Euler solve gives 0.1240
-    # against a best outage rate of 0.1410.
-    with pytest.raises(SolverError, match="below the best outage rate"):
-        expected_capacity_continuous(_two_bumps())
-
-
-def _piecewise_linear(knots, lo, hi):
-    """Knot values equally spaced on [lo, hi], interpolated onto 513 points."""
-    g = np.linspace(lo, hi, 513)
-    return _normalized(g, np.interp(g, np.linspace(lo, hi, len(knots)), knots))
-
-
 def _left_edge_ladder(density, n_states):
     """discretize_density with each cell at its left edge, its best state:
     the quantized channel is at least as good, so its optimum bounds C^e
@@ -417,27 +467,30 @@ def _left_edge_ladder(density, n_states):
     return optimize_discrete(w / w.sum(), edges[:-1])[1]
 
 
-# The first Euler band gives 0.0756876; the 64-state ladder reaches 0.0759462.
-BELOW_LADDER = ((0.374, 0.15, 0.627, 0.485), 0.0509, 0.408)
+@pytest.mark.parametrize("density, want", [
+    # Three Euler bands; the first alone gave 0.1240 against a best
+    # outage rate of 0.1410.
+    (TWO_BUMPS, 0.14096928),
+    (BELOW_LADDER_LAW, 0.07595745),
+    (_piecewise_linear(*SPLIT_BAND), 0.30009845),
+], ids=["two_bumps", "below_ladder", "split_band"])
+def test_expected_capacity_multi_band_sandwich(density, want):
+    # Each law's pointwise optima fall somewhere in [p_l, p_u], and the
+    # pooled solve lies between the 4096-state right-edge (achievable)
+    # and left-edge ladders.
+    ce = expected_capacity_continuous(density)
+    assert ce == pytest.approx(want, abs=5e-9)
+    assert optimize_discrete(*discretize_density(density, 4096))[1] - 1e-9 <= ce
+    assert ce <= _left_edge_ladder(density, 4096) + 1e-9
+    prof = rate_profile(solve_layering(density))
+    assert abs(layering._expected_rate(density, prof) - ce) <= 1e-6
 
 
-def test_expected_capacity_rejects_answer_below_ladder():
-    with pytest.raises(SolverError, match="below the 64-state ladder"):
-        expected_capacity_continuous(_piecewise_linear(*BELOW_LADDER))
-
-
-# Euler roots on [0.1200, 0.1338] and [0.1697, 0.1753] of the band
-# [0.1200, 0.1753], none between: the clamped profile jumped from 0.036
-# to 1/2 at mid-band, and the integral forms read 0.31381 although the
-# 4096-state ladders put C^e in [0.300098, 0.300201].
-SPLIT_BAND = ((0.25, 0.5, 0.5, 0.375, 0.625, 0.0, 0.0), 0.0, 0.25)
-
-
-def test_layering_rejects_band_without_euler_root():
-    density = _piecewise_linear(*SPLIT_BAND)
-    for solve in (solve_layering, expected_capacity_continuous):
-        with pytest.raises(SolverError, match="no root inside the band"):
-            solve(density)
+def test_top_layer_alone():
+    density = _piecewise_linear(*TOP_LAYER)
+    layer = solve_layering(density)
+    assert layer.grid[-1] == 0.2608 and layer.r[-1] == 0.0
+    assert expected_capacity_continuous(density) == bsc_capacity(0.2608) == 0.17204881448876552
 
 
 @settings(max_examples=100, deadline=None)
@@ -445,15 +498,13 @@ def test_layering_rejects_band_without_euler_root():
        lo=st.floats(0.0, 0.1), hi=st.floats(0.25, 0.5))
 @example(*BELOW_LADDER)
 @example(*SPLIT_BAND)
+@example(*TOP_LAYER)
 def test_expected_capacity_sandwich_on_random_laws(knots, lo, hi):
-    # Either the solve fails its certificates or it lies between the
-    # right-edge (achievable) and left-edge ladders.
+    # Every solve lies between the right-edge (achievable) and left-edge
+    # ladders.
     assume(max(knots) > 0.0)
     density = _piecewise_linear(knots, lo, hi)
-    try:
-        ce = expected_capacity_continuous(density)
-    except SolverError:
-        return
+    ce = expected_capacity_continuous(density)
     assert optimize_discrete(*discretize_density(density, 64))[1] - 1e-9 <= ce
     assert ce <= _left_edge_ladder(density, 64) + 1e-9
 
@@ -666,6 +717,46 @@ def test_two_state_argmax_near_tie_root():
     root = 1.7826857271011179e-31
     got = layering._two_state_argmax(0.9999999999999999, 0.0, 1.0, 1.401298464324817e-45)
     assert abs(got - root) <= 1e-9 * root
+
+
+def _mpmath_two_state_root(a, p, b, q):
+    """The sign change of s(r) = a (1-2p) L(r * p) - b (1-2q) L(r * q)
+    for the exact float inputs, by 260 halvings of log r at 60 digits."""
+    with mpmath.workdps(60):
+        a, p, b, q = (mpmath.mpf(v) for v in (a, p, b, q))
+
+        def s(r):
+            x_p, x_q = r + p - 2 * r * p, r + q - 2 * r * q
+            return a * (1 - 2 * p) * mpmath.log(1 / x_p - 1) - b * (1 - 2 * q) * mpmath.log(1 / x_q - 1)
+
+        lo, hi = mpmath.log(layering._R_MIN), mpmath.log(mpmath.mpf(0.5))
+        for _ in range(260):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if s(mpmath.exp(mid)) > 0 else (lo, mid)
+        return mpmath.exp((lo + hi) / 2)
+
+
+def test_two_state_argmax_near_tie_matches_mpmath():
+    # a (1-2p) = b (1-2q) (1 - eta) with q just above p and eta a few
+    # times 2 (q - p)/(1 - 2p): the two products agree to 3-12 digits,
+    # as they do when a pooled run spans nearby grid points.  Rounding
+    # the tie coefficient from the two products put 20 of the 27
+    # interior roots more than 1e-9 off, by up to 4e-4.
+    rng = np.random.default_rng(5)
+    interior = 0
+    for _ in range(400):
+        p = rng.uniform(0.0, 0.45)
+        gap = 10.0 ** rng.uniform(-12, -3)
+        q = min(0.5, p + (p * gap if rng.random() < 0.8 else gap))
+        b = rng.uniform(0.01, 1.0)
+        eta = 2.0 * (q - p) / (1.0 - 2.0 * p) * 10.0 ** rng.uniform(0, 3)
+        a = min(b, b * (1.0 - 2.0 * q) / (1.0 - 2.0 * p) * (1.0 - eta))
+        got = layering._two_state_argmax(a, p, b, q)
+        if 0.0 < got < 0.5:
+            interior += 1
+            want = _mpmath_two_state_root(a, p, b, q)
+            assert abs(got - want) <= 1e-9 * want
+    assert interior == 27
 
 
 @pytest.mark.parametrize("a", [0.002, 0.003])
