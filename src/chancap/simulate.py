@@ -20,8 +20,13 @@ merged by summing counts; blocklengths in a sweep share each shard's
 state and noise streams (common random numbers), pairing the per-n
 comparisons.  Codewords and noise blocks are held as little-endian
 uint64 words, ceil(n/64) per block with the bits above n zero, and
-Hamming distances are popcounts of their XOR.  Uncoded BEC trials use
-one generator per call.
+Hamming distances are popcounts of their XOR.  A shard's noise is packed
+once at the largest n, and each n takes its prefix words with the bits
+above n cleared.  The decode runs codeword-major: the (m, trials)
+distances are laid out with the longer axis innermost (trials, unless a
+codebook has more codewords than the shard has trials), so the density,
+the pass counts and the ML maxima are passes along that axis.  Uncoded
+BEC trials use one generator per call.
 """
 
 from __future__ import annotations
@@ -97,16 +102,27 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
 def _draw_codebooks(rng, size: int, m: int, n: int) -> np.ndarray:
     """`size` codebooks of m uniform n-bit codewords, as (size, m, ceil(n/64))
     uint64 words with the bits above n cleared."""
-    books = rng.integers(0, 2**64, size=(size, m, _words(n)), dtype=np.uint64)
+    return _clear_above(rng.integers(0, 2**64, size=(size, m, _words(n)), dtype=np.uint64), n)
+
+
+def _clear_above(words: np.ndarray, n: int) -> np.ndarray:
+    """Clear, in place, the bits above n in the last of ceil(n/64) words."""
     if n % 64:
-        books[..., -1] &= np.uint64((1 << (n % 64)) - 1)
-    return books
+        words[..., -1] &= np.uint64((1 << (n % 64)) - 1)
+    return words
 
 
-def _distances(books: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Hamming distances (size, m) between packed codebooks and packed
-    received blocks (size, words)."""
-    return np.bitwise_count(books ^ y[:, None, :]).sum(axis=2, dtype=np.int64)
+def _distances(books: np.ndarray, y: np.ndarray, order: str) -> np.ndarray:
+    """Hamming distances between packed codebooks (size, m, words) and
+    packed received blocks (size, words), as a codeword-major (m, size)
+    float array in `order` ("C" or "F") memory layout."""
+    counts = np.bitwise_count(books ^ y[:, None, :])
+    # Word by word: for n <= 64 a sum over the one-word axis would be a
+    # reduction of length 1 per codeword.
+    dist = counts[..., 0].T.astype(np.float64, order=order)
+    for k in range(1, counts.shape[2]):
+        dist += counts[..., k].T
+    return dist
 
 
 def _draw_crossovers(composite, rng, size: int) -> np.ndarray:
@@ -134,7 +150,8 @@ def simulate_outage_code_sweep(
 
     Within a shard, every blocklength sees the same drawn states and the
     same noise uniforms (truncated to its own n), so cross-n error
-    comparisons are common-random-number paired.
+    comparisons are common-random-number paired.  A repeated n is a
+    further run with its own codebooks and its own result.
     """
     ns = [int(n) for n in ns]
     if len(ns) == 0 or any(n < 1 for n in ns):
@@ -162,43 +179,66 @@ def simulate_outage_code_sweep(
     n_max = max(ns)
     shard_seqs = np.random.SeedSequence(seed).spawn(shards)
 
-    counts = {n: {"outage": 0, "error": 0, "ml_error": 0, "violations": 0} for n in ns}
+    # One tally per entry of ns: a repeated n is a second, independent run.
+    counts = [{"outage": 0, "error": 0, "ml_error": 0, "violations": 0} for _ in ns]
     for size, seq in zip(sizes, shard_seqs):
-        if size == 0:
-            continue
         state_seq, *book_seqs = seq.spawn(1 + len(ns))
         trial_rng = np.random.default_rng(state_seq)
         ps = _draw_crossovers(composite, trial_rng, size)
-        noise_u = trial_rng.random((size, n_max))
+        # Packed once at n_max; each n decodes the first n bits.
+        noise = _pack_bits(trial_rng.random((size, n_max)) < ps[:, None])
         pc = np.clip(ps, 1e-300, 1.0 - 1e-16)
-        log_p = np.log2(pc)[:, None]
-        log_1p = np.log2(1.0 - pc)[:, None]
+        log_p, log_1p = np.log2(pc), np.log2(1.0 - pc)
+        if ml_oracle:
+            ln_p, ln_1p = np.log(pc), np.log(1.0 - pc)
+        cols = np.arange(size)
 
-        for n, book_seq in zip(ns, book_seqs):
+        for c, n, book_seq in zip(counts, ns, book_seqs):
             book_rng = np.random.default_rng(book_seq)
             m = int(math.floor(2.0 ** (n * rate)))
             books = _draw_codebooks(book_rng, size, m, n)
             sent = book_rng.integers(0, m, size=size)
-            y = books[np.arange(size), sent] ^ _pack_bits(noise_u[:, :n] < ps[:, None])
-            dist = _distances(books, y)
-            dens = 1.0 + (dist / n) * log_p + (1.0 - dist / n) * log_1p
+            y = books[cols, sent] ^ _clear_above(noise[:, : _words(n)].copy(), n)
+            # Codeword-major (m, size) arrays, laid out with the longer axis
+            # innermost so that every pass below runs along it, and each
+            # trial's sent codeword as a flat index into that layout.
+            if m <= size:
+                order, at_sent = "C", sent * size + cols
+            else:
+                order, at_sent = "F", sent + cols * m
+            dist = _distances(books, y, order)
+            # Density 1 + frac log2 p + (1 - frac) log2(1 - p), summed in
+            # that order, in place: on large codebooks fresh temporaries
+            # cost more than the arithmetic.
+            frac = dist / n
+            dens = frac * log_p
+            dens += 1.0
+            np.subtract(1.0, frac, out=frac)
+            frac *= log_1p
+            dens += frac
             passed = dens >= threshold
-            num_passed = passed.sum(axis=1)
-            first = np.argmax(passed, axis=1)
-            outage = num_passed == 0
-            error = (~outage) & ((num_passed > 1) | (first != sent))
-            counts[n]["outage"] += int(outage.sum())
-            counts[n]["error"] += int(error.sum())
+            num_passed = passed.sum(axis=0)
+            # Correct: the sent codeword is the unique passer.  Every other
+            # trial that is not an outage is an error.
+            correct = (num_passed == 1) & passed.ravel(order)[at_sent]
+            outage = int(np.count_nonzero(num_passed == 0))
+            c["outage"] += outage
+            c["error"] += size - outage - int(np.count_nonzero(correct))
             if ml_oracle:
-                loglik = dist * np.log(pc)[:, None] + (n - dist) * np.log(1.0 - pc)[:, None]
-                ml_pick = np.argmax(loglik, axis=1)
-                ml_err = ml_pick != sent
-                counts[n]["ml_error"] += int(ml_err.sum())
-                counts[n]["violations"] += int((ml_err & ~(outage | error)).sum())
+                # Log-likelihood d ln p + (n - d) ln(1 - p), in place.
+                loglik = dist * ln_p
+                rest = np.subtract(n, dist, out=frac)
+                rest *= ln_1p
+                loglik += rest
+                # ML errs unless the sent codeword is the first maximizer.
+                ll_sent = loglik.ravel(order)[at_sent]
+                earlier = np.less.outer(np.arange(m), sent, order=order)
+                ml_err = (loglik.max(axis=0) > ll_sent) | ((loglik == ll_sent) & earlier).any(axis=0)
+                c["ml_error"] += int(np.count_nonzero(ml_err))
+                c["violations"] += int(np.count_nonzero(ml_err & correct))
 
     results = []
-    for n in ns:
-        c = counts[n]
+    for n, c in zip(ns, counts):
         decoded = trials - c["outage"]
         err_rate = c["error"] / decoded if decoded > 0 else 0.0
         out_rate = c["outage"] / trials

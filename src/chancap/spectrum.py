@@ -178,8 +178,13 @@ def _count_histogram(rng, n: int, p: float, k: int) -> tuple[np.ndarray, np.ndar
     drawn, which it tracks by subtraction.  Ordering the categories from
     both tails toward the mode keeps that mass at least the mode's, so
     its rounding error never dominates a tail's remaining mass.
-    Otherwise the k counts are drawn one by one.
+    At p = 0 every count is 0, and numpy's Binomial(n, 0) draws consume
+    no random numbers, so the one cell is returned without drawing.
+    Otherwise the k counts are drawn one by one (at p = 1 each draw
+    consumes a uniform, so those draws stay).
     """
+    if p == 0.0:
+        return np.array([0]), np.array([k])
     if n + 1 > k or not 0.0 < p < 1.0:
         return np.unique(rng.binomial(n, p, size=k), return_counts=True)
     pmf = _binomial_pmf(n, p)

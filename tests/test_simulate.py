@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -17,6 +17,7 @@ from chancap import (
     simulate_outage_code_sweep,
     simulate_uncoded_bec,
 )
+from chancap import simulate
 from chancap.simulate import _distances, _draw_codebooks, _pack_bits
 
 NOISELESS = DiscreteComposite((BscState(0.0),), [1.0])
@@ -55,6 +56,16 @@ def test_simulate_deterministic():
     assert a == b
     c = simulate_outage_code_sweep(GE_FROZEN, [8, 16], rate=0.15, q=0.5, trials=4000, seed=10)
     assert a != c
+
+
+def test_simulate_repeated_blocklength_is_an_independent_run():
+    # Each entry of ns keeps its own counts and codebook stream; a repeated
+    # n used to add both runs' counts into one tally (outage rate
+    # 0.229 + 0.226 = 0.455 reported twice here).
+    twice = simulate_outage_code_sweep(GE_FROZEN, [8, 8], rate=0.15, q=0.1, trials=2000, seed=0)
+    once = simulate_outage_code_sweep(GE_FROZEN, [8], rate=0.15, q=0.1, trials=2000, seed=0)
+    assert twice[0] == once[0] and once[0].outage_rate == 0.229
+    assert twice[1].outage_rate == 0.226
 
 
 def test_simulate_ml_oracle_dominance():
@@ -143,7 +154,93 @@ def test_packed_distances_match_int8_oracle(n, size, m, seed):
     packed_noise = _pack_bits(noise)
     assert np.array_equal(_unpack_words(packed_noise, n)[0], noise)
     y = books[np.arange(size), sent] ^ packed_noise
-    assert np.array_equal(_distances(books, y), _int8_distances(bits, sent, noise.astype(np.int8)))
+    # Codeword-major (m, size) in either memory layout.
+    want = _int8_distances(bits, sent, noise.astype(np.int8)).T
+    for order, contiguous in (("C", "C_CONTIGUOUS"), ("F", "F_CONTIGUOUS")):
+        dist = _distances(books, y, order)
+        assert dist.flags[contiguous] and dist.dtype == np.float64
+        assert np.array_equal(dist, want)
+
+
+def _trial_major_counts(composite, ns, rate, threshold, trials, seed, ml_oracle):
+    """The trial-major decode that the codeword-major sweep replaced, as its
+    oracle: per-trial (size, 1) columns broadcast over (size, m) arrays, the
+    noise compared and packed again for every n, and argmax decisions.
+    Returns [outage, error, ml_error, violations] per n."""
+    shards = min(simulate._SHARDS, trials)
+    counts = {n: [0, 0, 0, 0] for n in ns}
+    for size, seq in zip(simulate._shard_sizes(trials, shards), np.random.SeedSequence(seed).spawn(shards)):
+        state_seq, *book_seqs = seq.spawn(1 + len(ns))
+        trial_rng = np.random.default_rng(state_seq)
+        ps = simulate._draw_crossovers(composite, trial_rng, size)
+        noise_u = trial_rng.random((size, max(ns)))
+        pc = np.clip(ps, 1e-300, 1.0 - 1e-16)
+        log_p = np.log2(pc)[:, None]
+        log_1p = np.log2(1.0 - pc)[:, None]
+        for n, book_seq in zip(ns, book_seqs):
+            book_rng = np.random.default_rng(book_seq)
+            m = int(math.floor(2.0 ** (n * rate)))
+            books = _draw_codebooks(book_rng, size, m, n)
+            sent = book_rng.integers(0, m, size=size)
+            y = books[np.arange(size), sent] ^ _pack_bits(noise_u[:, :n] < ps[:, None])
+            dist = np.bitwise_count(books ^ y[:, None, :]).sum(axis=2, dtype=np.int64)
+            dens = 1.0 + (dist / n) * log_p + (1.0 - dist / n) * log_1p
+            passed = dens >= threshold
+            num_passed = passed.sum(axis=1)
+            first = np.argmax(passed, axis=1)
+            outage = num_passed == 0
+            error = (~outage) & ((num_passed > 1) | (first != sent))
+            c = counts[n]
+            c[0] += int(outage.sum())
+            c[1] += int(error.sum())
+            if ml_oracle:
+                loglik = dist * np.log(pc)[:, None] + (n - dist) * np.log(1.0 - pc)[:, None]
+                ml_err = np.argmax(loglik, axis=1) != sent
+                c[2] += int(ml_err.sum())
+                c[3] += int((ml_err & ~(outage | error)).sum())
+    return counts
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    params=st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5), min_size=1, max_size=3),
+    ns=st.lists(st.integers(1, 130) | st.sampled_from([63, 64, 65, 128]), min_size=1, max_size=3, unique=True),
+    m_top=st.integers(1, 40),
+    trials=st.integers(1, 160),
+    tie=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 130)),
+    ml=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# m = 1 at every n, with p = 0 and p = 1/2 (every log-likelihood ties).
+@example(params=[0.0, 0.5], ns=[64, 1, 128], m_top=1, trials=40, tie=(1, 0, 3), ml=True, seed=3)
+# m = 40 codewords against shards of 2 trials: the codeword axis is the long one.
+@example(params=[0.5, 0.1], ns=[65, 63], m_top=40, trials=16, tie=(0, 0, 30), ml=True, seed=4)
+def test_codeword_major_decode_matches_trial_major_oracle(params, ns, m_top, trials, tie, ml, seed):
+    composite = DiscreteComposite(tuple(BscState(p) for p in params), [1.0 / len(params)] * len(params))
+    # The largest n gets m_top codewords; smaller n get fewer.
+    rate = math.log2(m_top + 0.5) / max(ns)
+    # A threshold on an attainable density value, evaluated as the decoder
+    # does, so that `>=` ties occur.
+    k, j, d = tie
+    n = ns[j % len(ns)]
+    pc = np.clip(np.array([params[k % len(params)]]), 1e-300, 1.0 - 1e-16)
+    frac = np.array([float(d % (n + 1))]) / n
+    target = float((1.0 + frac * np.log2(pc) + (1.0 - frac) * np.log2(1.0 - pc))[0])
+    # C_q and epsilon with C_q - epsilon == target exactly.
+    c_q, epsilon = (2.0 * target, target) if target > 0 else (target / 2, -target / 2) if target < 0 else (1.0, 1.0)
+    assert c_q - epsilon == target
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "capacity_vs_outage", lambda composite, q: c_q)
+        results = simulate_outage_code_sweep(composite, ns, rate=rate, q=0.5, trials=trials,
+                                             epsilon=epsilon, seed=seed, ml_oracle=ml)
+    want = _trial_major_counts(composite, ns, rate, target, trials, seed, ml)
+    for res in results:
+        outage, error, ml_error, violations = want[res.blocklength]
+        decoded = trials - outage
+        assert res.outage_rate == outage / trials
+        assert res.error_rate_given_no_outage == (error / decoded if decoded else 0.0)
+        assert res.ml_error_rate == (ml_error / trials if ml else None)
+        assert res.ml_dominance_violations == (violations if ml else None)
 
 
 def test_simulate_blocklength_above_64():

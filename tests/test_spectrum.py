@@ -274,6 +274,29 @@ def test_estimate_spectrum_cost_does_not_grow_with_trials():
     assert cdf.values.size <= 2 * (n + 1)
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 3), (2000, 1000), (3, 50)])
+def test_zero_crossover_histogram_is_one_cell_without_draws(n, k):
+    # numpy's Binomial(n, 0) draws consume no random numbers, so the
+    # one-cell histogram leaves the stream where the draws left it.
+    drawn, skipped = np.random.default_rng(7), np.random.default_rng(7)
+    want = np.unique(drawn.binomial(n, 0.0, size=k), return_counts=True)
+    got = spectrum._count_histogram(skipped, n, 0.0, k)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert skipped.random() == drawn.random()
+
+
+def test_estimate_spectrum_zero_crossover_state_at_huge_trials():
+    # The p = 0 state takes about 5e11 of 10^12 draws as one cell.
+    comp = DiscreteComposite((BscState(0.0), BscState(0.3)), [0.5, 0.5])
+    n = 2000
+    start = time.perf_counter()
+    cdf = estimate_spectrum(comp, n=n, trials=10**12, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert cdf.values.size <= n + 2 and cdf.cum_counts[-1] == 10**12
+    assert cdf.values[-1] == 1.0 and 0.49 < 1.0 - cdf.evaluate(0.999) < 0.51
+
+
 def _per_draw_spectrum(composite, n, trials, seed, histograms=False):
     """estimate_spectrum's random stream replayed draw by draw: every draw
     is evaluated with info_density_bsc/info_density_bec, and the pooled
