@@ -40,9 +40,6 @@ from .layering import (
     LayerProfile,
     RateProfile,
     SolverError,
-    bec_bc_expected_rate,
-    bec_bc_region,
-    bergmans_rates,
     discrete_expected_rate,
     discretize_density,
     expected_capacity,

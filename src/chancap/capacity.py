@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    LN2,
     ContinuousBscComposite,
     _entropy_inverse,
-    binary_entropy,
     bsc_capacity,
     state_law,
 )
@@ -38,6 +38,18 @@ _ATOM_RTOL = 1e-12
 # two rescans leave a step of at most 2**-28 (4e-9) in q.
 _OUTAGE_SCAN_POINTS = 1024
 _OUTAGE_RESCANS = 2
+
+# Series for the cell moments of h (_cell_moments) where the closed
+# forms cancel: at knots t <= 1/16 in powers of t, and on cells of
+# half-width d <= m/8 about their midpoint m in powers of (d/m)^2.  The
+# terms past these lie below 1e-17 of the first; highest power first.
+_SMALL_KNOT = 1.0 / 16.0
+_K_SERIES = np.array([1.0 / ((j + 1) * (j + 2) * (j + 3)) for j in range(11, -1, -1)])
+_N_SERIES = np.array([1.0 / ((j + 1) * (j + 2) * (j + 3) * (j + 4)) for j in range(11, -1, -1)])
+_NARROW_CELL = 0.125
+# Rows: the coefficients of P and Q (_cell_moments) of one power.
+_CELL_SERIES = np.array([[1.0 / ((2 * j - 1) * 2 * j * (2 * j + 1)), 1.0 / (2 * j * (2 * j + 1) * (2 * j + 3))]
+                         for j in range(8, 0, -1)])[:, :, None, None]
 
 
 @dataclass(frozen=True)
@@ -175,12 +187,63 @@ def capacity_from_spectrum(cdf: EmpiricalCdf, q: float) -> float:
     return cdf_quantile(cdf, q)
 
 
+def _cell_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of g and of (t - m) g over each cell [m - d, m + d] of
+    the knots x, for g(t) = t ln t + u ln u = -h(t) ln 2, u = 1 - t.
+
+    With K' = g and N' = K, both 0 at 0, they are K(b) - K(a) and, by
+    parts, d (K(a) + K(b)) - (N(b) - N(a)), where
+    K = (t^2 ln t - u^2 ln u - t)/2 and N = (t^3 ln t + u^3 ln u + t)/6
+    - 5 t^2/12, or at t <= _SMALL_KNOT, from u ln u = -t + sum
+    t^k/(k (k-1)), K = t^2 (ln t/2 - 3/4 + t P_K(t)) and
+    N = t^3 (ln t/6 - 11/36 + t P_N(t)) (_K_SERIES, _N_SERIES).  On a
+    cell narrow against m the differences cancel; there the Taylor series
+    of g at m, with g^(k)(m)/k! = ((-1)^k m^(1-k) + v^(1-k))/(k (k-1))
+    for k >= 2 and v = 1 - m, gives 2d [g(m) + d^2 (P(z_m)/m + P(z_v)/v)]
+    and 2d^3 [ln(m/v)/3 + d^2 (Q(z_v)/v^2 - Q(z_m)/m^2)], z_m = (d/m)^2,
+    z_v = (d/v)^2 (P, Q: _CELL_SERIES).
+    """
+    u = 1.0 - x
+    ln_x, ln_u = np.log(np.where(x > 0.0, x, 1.0)), np.log1p(-x)
+    x2_ln, u2_ln = x * x * ln_x, u * u * ln_u
+    big_k = 0.5 * (x2_ln - u2_ln - x)
+    big_n = (x * x2_ln + u * u2_ln + x) / 6.0 - 5.0 / 12.0 * x * x
+    small = (x > 0.0) & (x <= _SMALL_KNOT)
+    if small.any():
+        t, ln_t = x[small], ln_x[small]
+        big_k[small] = t * t * (0.5 * ln_t - 0.75 + t * np.polyval(_K_SERIES, t))
+        big_n[small] = t * t * t * (ln_t / 6.0 - 11.0 / 36.0 + t * np.polyval(_N_SERIES, t))
+    d = 0.5 * np.diff(x)
+    m = x[:-1] + d
+    zeroth = np.diff(big_k)
+    first = d * (big_k[1:] + big_k[:-1]) - np.diff(big_n)
+    narrow = d <= _NARROW_CELL * m
+    if narrow.any():
+        mv = np.stack([m, 1.0 - m])
+        z = (d / mv) ** 2
+        p_q = np.zeros((2,) + z.shape)
+        for coef in _CELL_SERIES:
+            p_q *= z
+            p_q += coef
+        (p_m, p_v), (q_m, q_v) = p_q[0] / mv, p_q[1] / (mv * mv)
+        ln_m, ln_v = np.log(m), np.log1p(-m)
+        zeroth = np.where(narrow, 2.0 * d * (m * ln_m + mv[1] * ln_v + d * d * (p_m + p_v)), zeroth)
+        first = np.where(narrow, 2.0 * d * d * d * ((ln_m - ln_v) / 3.0 + d * d * (q_v - q_m)), first)
+    return zeroth, first
+
+
 def mean_state_capacity(composite) -> float:
-    """E_S[capacity of state S]; the expected-capacity upper bound."""
+    """E_S[capacity of state S]; the expected-capacity upper bound.
+
+    On a continuous law, the exact integral of 1 - h against the law's
+    own f, f_m + s (t - m) on a cell of midpoint value f_m and slope s.
+    """
     law = state_law(composite)
     if isinstance(law, ContinuousBscComposite):
-        caps = 1.0 - binary_entropy(law.grid)
-        return float(np.trapezoid(law.density * caps, law.grid))
+        f = law.pdf(law.grid)
+        zeroth, first = _cell_moments(law.grid)
+        f_g = np.sum(0.5 * (f[1:] + f[:-1]) * zeroth + np.diff(f) / np.diff(law.grid) * first)
+        return float(1.0 + f_g / LN2)
     return float(np.dot(law.mass, law.caps))
 
 

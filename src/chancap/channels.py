@@ -103,9 +103,6 @@ class BscState:
         if not 0.0 <= self.crossover <= 0.5:
             raise ValueError("BscState: crossover must lie in [0, 1/2]")
 
-    def capacity(self) -> float:
-        return bsc_capacity(self.crossover)
-
 
 @dataclass(frozen=True)
 class BecState:
@@ -116,9 +113,6 @@ class BecState:
     def __post_init__(self):
         if not 0.0 <= self.erasure <= 1.0:
             raise ValueError("BecState: erasure must lie in [0, 1]")
-
-    def capacity(self) -> float:
-        return bec_capacity(self.erasure)
 
 
 @dataclass(frozen=True)
@@ -239,9 +233,10 @@ class ContinuousBscComposite:
             object.__setattr__(self, "analytic_preset", "uniform")
 
     @classmethod
-    def uniform(cls, num: int = 2049) -> "ContinuousBscComposite":
-        """Uniform crossover density f = 2 on [0, 1/2]."""
-        return cls(np.linspace(0.0, 0.5, num), np.full(num, 2.0))
+    def uniform(cls) -> "ContinuousBscComposite":
+        """Uniform crossover density: f = 2 on the one cell [0, 1/2]; f = 2
+        on finer knots is the same law and gives the same numbers."""
+        return cls(np.array([0.0, 0.5]), np.array([2.0, 2.0]))
 
     def pdf(self, p):
         if self.analytic_preset == "uniform":

@@ -83,8 +83,7 @@ def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
     family = cfg.get("family", "uniform").lower()
     try:
         if family == "uniform":
-            num = int(cfg.get("density_grid", "2049"))
-            return ContinuousBscComposite.uniform(num)
+            return ContinuousBscComposite.uniform()
         if family == "bsc":
             if "states" not in cfg or "pmf" not in cfg:
                 raise ConfigError("family=bsc needs states= and pmf=")

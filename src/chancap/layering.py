@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import best_outage_rate
+from .capacity import best_outage_rate, mean_state_capacity
 from .channels import (
     EPS,
     ContinuousBscComposite,
@@ -153,33 +153,10 @@ def ge_expected_capacity(p_good: float, p_bad: float, pi_good: float) -> tuple[f
     return ce, float(chain[1])
 
 
-def bergmans_rates(p_states, r) -> np.ndarray:
-    """Per-layer rates of the Bergmans cascade.
-
-    `p_states` are the N state crossovers sorted ascending; `r` is the
-    full auxiliary chain of length N+1 with r[0] = 0 and r[-1] = 1/2.
-    Layer i (1-based) carries R_i = h(r_i * p_i) - h(r_{i-1} * p_i);
-    state i decodes layers i..N.  Non-finite entries raise ValueError.
-    """
-    p = np.asarray(p_states, dtype=float)
-    rr = np.asarray(r, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("bergmans_rates: need at least one state")
-    # Written as "not (in range)" so that NaN fails every check.
-    if not (np.all((p >= 0.0) & (p <= 0.5)) and np.all(np.diff(p) >= 0.0)):
-        raise ValueError("bergmans_rates: states must be sorted in [0, 1/2] and finite")
-    if rr.shape != (p.size + 1,):
-        raise ValueError("bergmans_rates: r must have length N+1 (including both endpoints)")
-    if not (abs(rr[0]) <= 1e-12 and abs(rr[-1] - 0.5) <= 1e-12):
-        raise ValueError("bergmans_rates: r must start at 0 and end at 1/2")
-    if not np.all(np.diff(rr) >= -1e-12):
-        raise ValueError("bergmans_rates: r must be nondecreasing and finite")
-    return _layer_rates(p, rr)
-
-
 def _layer_rates(p: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """bergmans_rates without the checks, for a chain already known to
-    be valid; r * p is spelled out as star computes it."""
+    """Per-layer rates of the Bergmans cascade for a valid chain: layer i
+    (1-based) carries R_i = h(r_i * p_i) - h(r_{i-1} * p_i), with r * p
+    spelled out as star computes it."""
     upper, lower = r[1:], r[:-1]
     return _entropy_bits(upper + p - 2.0 * upper * p) - _entropy_bits(lower + p - 2.0 * lower * p)
 
@@ -188,20 +165,31 @@ def discrete_expected_rate(weights, p_states, r) -> float:
     """Expected rate sum_i w_i R(p_i) with R(p_i) = sum_{j >= i} R_j.
 
     This is the expected rate of one layered (broadcast) code for the
-    composite BSC: the state-i decoder recovers layers i..N, so the
-    quantity the paper's expected capacity maximizes over codes, here
-    for a given r chain; optimize_discrete maximizes it over chains.
+    composite BSC: the state-i decoder recovers layers i..N of the
+    Bergmans cascade (_layer_rates), so the quantity the paper's
+    expected capacity maximizes over codes, here for a given r chain;
+    optimize_discrete maximizes it over chains.
 
-    Rearranged as sum_j W_j R_j with W_j the cdf of the weights, which
-    is the form the optimizer differentiates.  The weights must be a
-    pmf over the states.
+    Takes the N crossovers sorted ascending, a chain 0 = r_0 <= ... <=
+    r_N = 1/2 and a pmf; anything else raises ValueError.  Rearranged as
+    sum_j W_j R_j with W_j the cdf of the weights, which is the form the
+    optimizer differentiates.
     """
     w = np.asarray(weights, dtype=float)
-    rates = bergmans_rates(p_states, r)
-    # Written as "not (in range)" so that NaN and inf fail the check.
-    if not (w.shape == rates.shape and (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-9):
+    p = np.asarray(p_states, dtype=float)
+    rr = np.asarray(r, dtype=float)
+    # Written as "not (in range)" so that NaN and inf fail every check.
+    if not (p.ndim == 1 and p.size >= 1 and ((p >= 0.0) & (p <= 0.5)).all() and (p[1:] >= p[:-1]).all()):
+        raise ValueError("discrete_expected_rate: states must be sorted in [0, 1/2] and finite")
+    if rr.shape != (p.size + 1,):
+        raise ValueError("discrete_expected_rate: r must have length N+1 (including both endpoints)")
+    if not (abs(rr[0]) <= 1e-12 and abs(rr[-1] - 0.5) <= 1e-12):
+        raise ValueError("discrete_expected_rate: r must start at 0 and end at 1/2")
+    if not np.all(np.diff(rr) >= -1e-12):
+        raise ValueError("discrete_expected_rate: r must be nondecreasing and finite")
+    if not (w.shape == p.shape and (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("discrete_expected_rate: weights must be a pmf over the states with finite entries")
-    return float(np.dot(np.cumsum(w), rates))
+    return float(np.dot(np.cumsum(w), _layer_rates(p, rr)))
 
 
 def _log_odds(r, p):
@@ -643,8 +631,9 @@ def expected_capacity_continuous(density, num: int = _PROFILE_POINTS) -> float:
     A band of width zero is the top layer alone, with r(p_u) = 0:
     C^e = F(p_u) (1 - h(p_u)).  A single-layer outage code and the
     64-state right-edge ladder (discretize_density) are admissible
-    codes, so C^e below either (less 1e-9) means the solve failed: the
-    certificates raise SolverError.
+    codes, and no code beats the mean state capacity, so C^e below
+    either code or above that bound (by 1e-9) means the solve failed:
+    the certificates raise SolverError.
     """
     band = find_cutoffs(density)
     value, top = 0.0, 1.0 - binary_entropy(band.p_u)
@@ -660,6 +649,8 @@ def expected_capacity_continuous(density, num: int = _PROFILE_POINTS) -> float:
     value += float(density.cdf(band.p_u)) * top
     if value < best_outage_rate(density)[1] - 1e-9:
         raise SolverError("expected_capacity_continuous: below the best outage rate")
+    if value > mean_state_capacity(density) + 1e-9:
+        raise SolverError("expected_capacity_continuous: above the mean state capacity")
     if value < optimize_discrete(*discretize_density(density, _CERTIFY_STATES))[1] - 1e-9:
         raise SolverError(f"expected_capacity_continuous: below the {_CERTIFY_STATES}-state ladder")
     return value
@@ -707,38 +698,3 @@ def parametric_expected_rate(density, band: CutoffPair, gamma: float) -> float:
     """Expected rate over `density` of the parametric profile on `band`."""
     _require_density(density, "parametric_expected_rate")
     return _expected_rate(density, rate_profile(parametric_profile(band, gamma)))
-
-
-def bec_bc_region(alpha1: float, alpha2: float, p_aux: float) -> tuple[float, float]:
-    """Rate pair of the two-user degraded BEC broadcast channel.
-
-    User 1 (erasure alpha1 < alpha2) gets the private rate
-    R1 = (1 - alpha1) h(p); both users get the common rate
-    R12 = (1 - alpha2)(1 - h(p)).
-    """
-    if not 0.0 <= alpha1 < alpha2 <= 1.0:
-        raise ValueError("bec_bc_region: need 0 <= alpha1 < alpha2 <= 1")
-    if not 0.0 <= p_aux <= 0.5:
-        raise ValueError("bec_bc_region: p_aux must lie in [0, 1/2]")
-    h = binary_entropy(p_aux)
-    return (1.0 - alpha1) * h, (1.0 - alpha2) * (1.0 - h)
-
-
-def bec_bc_expected_rate(alpha1: float, alpha2: float, w1: float = 0.5) -> float:
-    """Best expected rate of BEC broadcast codes: max{1-alpha2, w1 (1-alpha1)}.
-
-    The paper's two-state BEC broadcast example: a composite BEC with
-    erasure alpha1 w.p. w1 and alpha2 otherwise, whose expected capacity
-    is reached by one of the two corner codes below.
-
-    The objective R12 + w1 R1 is linear in h(p_aux), so the maximum over
-    the auxiliary parameter sits at an endpoint: all-common (h = 0)
-    giving 1 - alpha2, or all-private (h = 1) giving w1 (1 - alpha1).
-    With equiprobable states (w1 = 1/2) this reduces to
-    max{1 - alpha2, (1 - alpha1)/2}.
-    """
-    if not 0.0 <= w1 <= 1.0:
-        raise ValueError("bec_bc_expected_rate: w1 must lie in [0, 1]")
-    r1_full, _ = bec_bc_region(alpha1, alpha2, 0.5)
-    _, r12_full = bec_bc_region(alpha1, alpha2, 0.0)
-    return max(r12_full, w1 * r1_full)

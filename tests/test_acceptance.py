@@ -18,7 +18,6 @@ from chancap import (
     GilbertElliott,
     BroadcastCodeSpec,
     bc_to_expected,
-    bec_bc_expected_rate,
     binary_entropy,
     bsc_capacity,
     canonical_subsets,
@@ -26,6 +25,7 @@ from chancap import (
     capacity_vs_outage,
     discretize_density,
     estimate_spectrum,
+    expected_capacity,
     expected_capacity_bounds,
     expected_capacity_continuous,
     expected_to_bc,
@@ -169,9 +169,9 @@ def test_criterion_07_bec_broadcast():
     """Erasure composite: best broadcast expected rate is the endpoint max
     (exactly 0.7 for alphas 0.1/0.3), and uncoded transmission achieves
     the 1 - E[alpha] = 0.8 benchmark."""
-    exact = bec_bc_expected_rate(0.1, 0.3)
-    assert exact == 0.7
     bec = DiscreteComposite((BecState(0.1), BecState(0.3)), [0.5, 0.5])
+    exact = expected_capacity(bec)
+    assert exact == 0.7
     res = simulate_uncoded_bec(bec, n=10000, trials=1000, seed=0)
     print(f"criterion 7: broadcast max {exact} uncoded {res.expected_rate:.5f}")
     assert res.expected_rate == pytest.approx(0.8, abs=0.01)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,7 @@ from chancap import (
     DiscreteComposite,
     EmpiricalCdf,
     GilbertElliott,
+    bec_capacity,
     best_outage_rate,
     binary_entropy,
     bsc_capacity,
@@ -220,10 +223,10 @@ def test_capacity_from_spectrum():
 
 
 def test_mean_state_capacity():
-    # uniform density: 2 * integral of 1 - h(p) over [0, 1/2]
-    assert mean_state_capacity(UNIFORM) == pytest.approx(0.27865264154626224, abs=1e-12)
+    # uniform density: 2 * integral of 1 - h(p) over [0, 1/2] = 1 - 1/(2 ln 2)
+    assert mean_state_capacity(UNIFORM) == 1.0 - 1.0 / (2.0 * math.log(2.0))
     target, _ = quad(lambda p: 2.0 * (1.0 - binary_entropy(p)), 0.0, 0.5)
-    assert mean_state_capacity(UNIFORM) == pytest.approx(target, abs=1e-6)
+    assert mean_state_capacity(UNIFORM) == pytest.approx(target, abs=1e-15)
     two = _bsc([(0.05, 0.7), (0.3, 0.3)])
     assert mean_state_capacity(two) == 0.7 * bsc_capacity(0.05) + 0.3 * bsc_capacity(0.3)
     bec = DiscreteComposite((BecState(0.2), BecState(0.6)), [0.5, 0.5])
@@ -343,7 +346,8 @@ def _masked_sum_limit_cdf(channel, alphas):
             c = pi_g * bsc_capacity(channel.p_good) + pi_b * bsc_capacity(channel.p_bad)
             return (alphas >= c - 1e-15).astype(float)
         channel = channel.as_composite()
-    caps = np.array([s.capacity() for s in channel.states])
+    caps = np.array([bsc_capacity(s.crossover) if isinstance(s, BscState) else bec_capacity(s.erasure)
+                     for s in channel.states])
     return np.array([float(channel.pmf[caps <= a + 1e-15].sum()) for a in alphas])
 
 

@@ -151,8 +151,8 @@ def test_capacity_helpers():
 
 
 def test_state_types():
-    assert BscState(0.1).capacity() == pytest.approx(bsc_capacity(0.1))
-    assert BecState(0.25).capacity() == pytest.approx(0.75)
+    assert BscState(0.1).crossover == 0.1
+    assert BecState(0.25).erasure == 0.25
     with pytest.raises(ValueError):
         BscState(-0.1)
     with pytest.raises(ValueError):

@@ -315,7 +315,7 @@ def test_help_lists_only_flags_the_run_reads(capsys, sub, flags):
 # simulate's decoder sweep or uncoded BEC run: the command line's twin of
 # test_public_knob_inventory.  Every other key exits 2.
 CHANNEL_READS = {
-    "uniform": {"family", "density_grid"},
+    "uniform": {"family"},
     "bsc": {"family", "states", "pmf"},
     "bec": {"family", "erasures", "pmf"},
     "ge": {"family", "p_good", "p_bad", "g", "b", "pi_good"},
@@ -420,11 +420,12 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys):
 
 
 # sha256 of the `chancap capacity` CSV at its default q grid, one per
-# channel: the uniform law, frozen and ergodic Gilbert-Elliott, a BEC
+# channel: the uniform law (upper_bound 1 - 1/(2 ln 2) = 0.278652479556,
+# the exact mean state capacity), frozen and ergodic Gilbert-Elliott, a BEC
 # mixture, and BSC mixtures with a zero-mass atom and with tied
 # crossovers.
 CAPACITY_SHA256 = {
-    "": "3cd8428723f4551097dfd2472bbd295560650bc4a978def7f95c1454c16ae978",
+    "": "b1d8be67b7b2ad8b340a6c0e36cd9461248479318b31fdac7a8e2932cb59db5c",
     "family=ge\np_good=0.05\np_bad=0.3\npi_good=0.14\n":
         "d9bc4a8852ef263fda2591fbf96b381aa052895bf05e7fc83029ee35ef427dba",
     "family=ge\np_good=0.05\np_bad=0.3\ng=0.2\nb=0.1\n":
@@ -552,7 +553,7 @@ def test_constant_density_file_is_the_uniform_law(tmp_path, capsys):
     cfg.write_text(f"family=density\ndensity_file={dens}\n")
     assert main(["capacity", "--config", str(cfg)]) == 0
     from_file = capsys.readouterr().out.splitlines()
-    cfg.write_text("family=uniform\ndensity_grid=101\n")
+    cfg.write_text("family=uniform\n")
     assert main(["capacity", "--config", str(cfg)]) == 0
     preset = capsys.readouterr().out.splitlines()
     assert from_file[1:] == preset[1:]

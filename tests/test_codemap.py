@@ -166,6 +166,23 @@ def test_expected_to_bc_orphan_index_is_structural_error():
         expected_to_bc(code)
 
 
+def test_expected_to_bc_index_outside_i_t_is_structural_error():
+    # I_s for state 0 holds index 3, which I_t does not: the recovered
+    # blocks cover only I_t, so I_s is not their union.
+    sets = IndexSets(n=2, i_t=frozenset({1, 2}), i_p={},
+                     i_s={0: frozenset({1, 2, 3}), 1: frozenset({2})})
+    code = ExpectedRateCodeSpec(
+        n=2,
+        total_rate=1.0,
+        state_rates={0: 1.0, 1: 0.5},
+        index_sets=sets,
+        expected_rate=0.75,
+        rounding_deficit=0.0,
+    )
+    with pytest.raises(ValueError, match="I_s for state 0 is not the union of its blocks"):
+        expected_to_bc(code)
+
+
 def test_expected_rate_spec_validation():
     sets = IndexSets(n=2, i_t=frozenset({1}), i_p={(0,): frozenset({1})}, i_s={0: frozenset({1})})
     with pytest.raises(ValueError):

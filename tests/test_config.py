@@ -36,9 +36,7 @@ def test_build_channel_uniform_default():
     ch = build_channel({})
     assert isinstance(ch, ContinuousBscComposite)
     assert ch.analytic_preset == "uniform"
-    assert ch.grid.size == 2049
-    small = build_channel({"family": "uniform", "density_grid": "101"})
-    assert small.grid.size == 101
+    assert ch.grid.tolist() == [0.0, 0.5]
 
 
 def test_build_channel_bsc():

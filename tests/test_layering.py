@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import beta
 
@@ -20,9 +21,6 @@ from chancap import (
     LayerProfile,
     RateProfile,
     SolverError,
-    bec_bc_expected_rate,
-    bec_bc_region,
-    bergmans_rates,
     best_outage_rate,
     binary_entropy,
     bsc_capacity,
@@ -37,6 +35,7 @@ from chancap import (
     ge_expected_capacity,
     mean_state_capacity,
     optimize_discrete,
+    outage_curve,
     parametric_expected_rate,
     parametric_profile,
     rate_profile,
@@ -282,12 +281,64 @@ def test_find_cutoffs_uniform():
     assert cut.p_l < cut.p_u
 
 
+def _flat(num):
+    """f = 2 on num knots from 0 to 1/2: the uniform law on a finer grid."""
+    return ContinuousBscComposite(np.linspace(0.0, 0.5, num), np.full(num, 2.0))
+
+
 @pytest.mark.parametrize("num", [2, 3, 101, 2049])
 def test_find_cutoffs_uniform_p_u_is_one_sixth(num):
     # (1 - 2p) f - 4F = 2 - 12p: the bisection lands on 1/6 on any
-    # density_grid (Brent's method at xtol 1e-8 left 1/6 + 6.7e-10).
-    cut = find_cutoffs(ContinuousBscComposite.uniform(num))
+    # grid of knots (Brent's method at xtol 1e-8 left 1/6 + 6.7e-10).
+    cut = find_cutoffs(_flat(num))
     assert abs(cut.p_u - 1.0 / 6.0) <= np.spacing(1.0 / 6.0)
+
+
+def test_uniform_law_does_not_depend_on_its_knots():
+    # f = 2 is one law on any knots from 0 to 1/2, so every quantity takes
+    # one value; the mean state capacity is 1 - 1/(2 ln 2) in closed form.
+    q = np.linspace(0.0, 0.9, 10)
+    ref = None
+    for num in (2, 3, 101, 2049):
+        law = _flat(num)
+        cut = find_cutoffs(law)
+        got = ((cut.p_l, cut.p_u), expected_capacity_continuous(law), best_outage_rate(law),
+               outage_curve(law, q).c_q.tobytes())
+        assert ref is None or got == ref, num
+        ref = got
+        assert abs(mean_state_capacity(law) - (1.0 - 1.0 / (2.0 * math.log(2.0)))) <= 1e-15
+
+
+@st.composite
+def _coarse_laws(draw):
+    """Piecewise-linear laws on 3 to 17 knots in [0, 1/2], some of them at
+    f = 0, normalized as ContinuousBscComposite normalizes them."""
+    knots = draw(st.lists(st.floats(0.0, 0.5), min_size=3, max_size=17, unique=True))
+    grid = np.sort(knots)
+    assume(np.all(np.diff(grid) > 1e-9))
+    f = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+                               min_size=grid.size, max_size=grid.size)))
+    mass = np.trapezoid(f, grid)
+    assume(mass > 1e-9)
+    return ContinuousBscComposite(grid, f / mass)
+
+
+@settings(max_examples=150, deadline=None)
+@given(law=_coarse_laws())
+def test_mean_state_capacity_is_the_laws_own_integral(law):
+    # Per cell, quad of the law's own linear f against 1 - h.
+    g = law.grid
+    want = sum(quad(lambda p: law.pdf(p) * (1.0 - binary_entropy(p)), a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(g[:-1].tolist(), g[1:].tolist()))
+    upper = mean_state_capacity(law)
+    assert abs(upper - want) <= 1e-12
+    # A law with stretches of zero density often has no certified C^e
+    # (SolverError); the bound is checked on the others.
+    try:
+        ce = expected_capacity(law)
+    except SolverError:
+        assume(False)
+    assert ce <= upper + 1e-9
 
 
 @pytest.mark.parametrize("density", [
@@ -413,7 +464,9 @@ def test_expected_capacity_two_state_bec(a1, a2, w1, swap):
     # outage search's mass tolerance), which moves C^e by at most that
     # mass times a capacity.
     tol = 1e-12 if 0.0 < min(w1, 1.0 - w1) <= 1e-12 else 1e-15
-    assert abs(got - bec_bc_expected_rate(a1, a2, w1)) <= tol
+    # The better corner of the degraded BEC broadcast region: all common
+    # (every state decodes 1 - alpha_2) or all private to the better state.
+    assert abs(got - max(1.0 - a2, w1 * (1.0 - a1))) <= tol
 
 
 def test_solved_profile_is_first_order_optimal():
@@ -574,28 +627,31 @@ def test_ge_expected_capacity_domain():
         ge_expected_capacity(-0.1, 0.3, 0.5)
 
 
+def _layer_sum(p_states, chain):
+    """The sum of every layer rate of the cascade: weights e_1 make every
+    W_j 1 in discrete_expected_rate."""
+    return discrete_expected_rate(np.eye(len(p_states))[0], p_states, chain)
+
+
 def test_bergmans_rates_hand_case():
-    rates = bergmans_rates([0.2], [0.0, 0.5])
-    assert rates.shape == (1,)
-    assert rates[0] == pytest.approx(bsc_capacity(0.2), abs=1e-15)
-    two = bergmans_rates([0.05, 0.3], [0.0, 0.1, 0.5])
-    assert two[0] == pytest.approx(
-        binary_entropy(0.1 + 0.05 - 2 * 0.1 * 0.05) - binary_entropy(0.05), abs=1e-15
-    )
-    assert two[1] == pytest.approx(
-        1.0 - binary_entropy(0.1 + 0.3 - 2 * 0.1 * 0.3), abs=1e-15
+    assert _layer_sum([0.2], [0.0, 0.5]) == pytest.approx(bsc_capacity(0.2), abs=1e-15)
+    layer_2 = 1.0 - binary_entropy(0.1 + 0.3 - 2 * 0.1 * 0.3)
+    # Weights e_2 leave the last layer alone.
+    assert discrete_expected_rate([0.0, 1.0], [0.05, 0.3], [0.0, 0.1, 0.5]) == pytest.approx(layer_2, abs=1e-15)
+    assert _layer_sum([0.05, 0.3], [0.0, 0.1, 0.5]) == pytest.approx(
+        binary_entropy(0.1 + 0.05 - 2 * 0.1 * 0.05) - binary_entropy(0.05) + layer_2, abs=1e-15
     )
 
 
 def test_bergmans_rates_validation():
     with pytest.raises(ValueError):
-        bergmans_rates([0.2], [0.0, 0.4])
+        _layer_sum([0.2], [0.0, 0.4])
     with pytest.raises(ValueError):
-        bergmans_rates([0.2], [0.1, 0.5])
+        _layer_sum([0.2], [0.1, 0.5])
     with pytest.raises(ValueError):
-        bergmans_rates([0.3, 0.2], [0.0, 0.1, 0.5])
+        _layer_sum([0.3, 0.2], [0.0, 0.1, 0.5])
     with pytest.raises(ValueError):
-        bergmans_rates([0.2], [0.0, 0.3, 0.5])
+        _layer_sum([0.2], [0.0, 0.3, 0.5])
 
 
 @settings(max_examples=50, deadline=None)
@@ -607,8 +663,7 @@ def test_bergmans_rates_telescope(p, interior):
     # equal states: the cascade telescopes to the single-state capacity
     chain = np.concatenate([[0.0], np.sort(interior), [0.5]])
     states = np.full(chain.size - 1, p)
-    total = float(bergmans_rates(states, chain).sum())
-    assert total == pytest.approx(bsc_capacity(p), abs=1e-12)
+    assert _layer_sum(states, chain) == pytest.approx(bsc_capacity(p), abs=1e-12)
 
 
 def test_discrete_expected_rate_matches_single_layer_objective():
@@ -626,12 +681,12 @@ def test_discrete_expected_rate_matches_single_layer_objective():
 
 
 def test_bergmans_rates_rejects_non_finite():
-    with pytest.raises(ValueError, match="bergmans_rates: r must be nondecreasing"):
-        bergmans_rates([0.1, 0.2], [0.0, math.nan, 0.5])
-    with pytest.raises(ValueError, match="bergmans_rates: states must be sorted"):
-        bergmans_rates([0.1, math.nan], [0.0, 0.1, 0.5])
-    with pytest.raises(ValueError, match="bergmans_rates: r must start at 0"):
-        bergmans_rates([0.1, 0.2], [0.0, 0.1, math.inf])
+    with pytest.raises(ValueError, match="discrete_expected_rate: r must be nondecreasing"):
+        _layer_sum([0.1, 0.2], [0.0, math.nan, 0.5])
+    with pytest.raises(ValueError, match="discrete_expected_rate: states must be sorted"):
+        _layer_sum([0.1, math.nan], [0.0, 0.1, 0.5])
+    with pytest.raises(ValueError, match="discrete_expected_rate: r must start at 0"):
+        _layer_sum([0.1, 0.2], [0.0, 0.1, math.inf])
 
 
 def test_discrete_expected_rate_rejects_bad_weights():
@@ -931,6 +986,17 @@ def test_solver_certificates_raise_solver_error(monkeypatch):
         expected_capacity_continuous(UNIFORM, num=257)
 
 
+@pytest.mark.parametrize("width", [1e-8, 1e-6, 1e-4])
+def test_expected_capacity_rejects_answer_above_mean_state_capacity(width):
+    # All mass on [0, width], f falling linearly to 0: the band
+    # [p_l, p_u] is a few percent of the width, r climbs from 0 to near
+    # 1/2 across it, and the log-weighted integral of r' overshoots, to
+    # 3.41 at width 1e-8, where no code beats E[1 - h] = 0.9999999.
+    law = ContinuousBscComposite(np.array([0.0, width, 0.5]), np.array([2.0 / width, 0.0, 0.0]))
+    with pytest.raises(SolverError, match="above the mean state capacity"):
+        expected_capacity_continuous(law)
+
+
 def test_discretize_density():
     w, p = discretize_density(UNIFORM, 4)
     assert np.array_equal(p, [0.125, 0.25, 0.375, 0.5])
@@ -996,25 +1062,17 @@ def test_parametric_rates_below_optimum():
     assert max(oc) == pytest.approx(ce, abs=1e-3)
 
 
-def test_bec_bc_region():
-    h = binary_entropy(0.11)
-    assert bec_bc_region(0.1, 0.3, 0.11) == (0.9 * h, 0.7 * (1.0 - h))
-    assert bec_bc_region(0.1, 0.3, 0.5) == (0.9, 0.0)
-    assert bec_bc_region(0.1, 0.3, 0.0) == (0.0, 0.7)
-    with pytest.raises(ValueError):
-        bec_bc_region(0.3, 0.1, 0.11)
-    with pytest.raises(ValueError):
-        bec_bc_region(0.1, 0.3, 0.7)
+def _bec_pair(a1, a2, w1):
+    return DiscreteComposite((BecState(a1), BecState(a2)), [w1, 1.0 - w1])
 
 
 def test_bec_bc_expected_rate():
-    assert bec_bc_expected_rate(0.1, 0.3) == 0.7
-    assert bec_bc_expected_rate(0.1, 0.3, w1=1.0) == 0.9
-    assert bec_bc_expected_rate(0.1, 0.3, w1=0.0) == 0.7
+    # The paper's two-state BEC broadcast example: max{1 - a2, w1 (1 - a1)}.
+    assert expected_capacity(_bec_pair(0.1, 0.3, 0.5)) == 0.7
+    assert expected_capacity(_bec_pair(0.1, 0.3, 1.0)) == 0.9
+    assert expected_capacity(_bec_pair(0.1, 0.3, 0.0)) == 0.7
     # all-common vs all-private crossover
-    assert bec_bc_expected_rate(0.1, 0.9, w1=0.5) == 0.45
-    with pytest.raises(ValueError):
-        bec_bc_expected_rate(0.1, 0.3, w1=1.5)
+    assert expected_capacity(_bec_pair(0.1, 0.9, 0.5)) == 0.45
 
 
 @settings(max_examples=40, deadline=None)
@@ -1025,9 +1083,11 @@ def test_bec_bc_expected_rate():
 )
 def test_bec_bc_expected_rate_is_endpoint_max(a1, gap, w1):
     a2 = min(a1 + gap, 1.0)
-    got = bec_bc_expected_rate(a1, a2, w1)
+    got = expected_capacity(_bec_pair(a1, a2, w1))
     assert got == max(1.0 - a2, w1 * (1.0 - a1))
-    # no interior auxiliary parameter beats the endpoints
+    # No point of the degraded BEC broadcast region beats the corners:
+    # auxiliary BSC(p) gives the common rate (1 - a2)(1 - h(p)) to both
+    # states and the private rate (1 - a1) h(p) to the better one.
     for p in (0.1, 0.25, 0.4):
-        r1, r12 = bec_bc_region(a1, a2, p)
-        assert r12 + w1 * r1 <= got + 1e-12
+        h = binary_entropy(p)
+        assert (1.0 - a2) * (1.0 - h) + w1 * (1.0 - a1) * h <= got + 1e-12

@@ -24,18 +24,15 @@ LAW_OWNERS = {"channels.py", "config.py"}
 PAPER_API = {
     "sample_state": "draws the state S that the composite channel holds for a block",
     "transmit": "one block through the component channel of a realized state",
-    "bec_bc_expected_rate": "the paper's two-state BEC broadcast example",
     "discrete_expected_rate": "expected rate of a given layered code; the optimizer tests' oracle",
 }
 
 # Every defaulted parameter of a public callable, with why it is an
 # option.  A new option goes here, with its reason, or is not added.
 KNOBS = {
-    "ContinuousBscComposite.uniform.num": "grid size of the uniform preset; its cdf is analytic at any size",
     "SimResult.per_state_rates": "present only for sweeps that report per-state rates",
     "SimResult.ml_error_rate": "present only when the ML oracle ran",
     "SimResult.ml_dominance_violations": "present only when the ML oracle ran",
-    "bec_bc_expected_rate.w1": "the paper's example has equiprobable states; the mass is its parameter",
     "expected_capacity_continuous.num": "profile grid; the tests refine it to check convergence",
     "solve_layering.num": "profile grid; the tests vary it against an independent per-point solve",
     "simulate_outage_code_sweep.epsilon": "the decoder's information-density threshold slack",
