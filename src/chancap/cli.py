@@ -41,10 +41,12 @@ def _fmt(value) -> str:
 
 
 def _render(cfg: RunConfig, header, rows) -> str:
-    lines = [f"# chancap {cfg.subcommand} :: {cfg.canonical_string()}".rstrip()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"# chancap {cfg.subcommand} :: {cfg.canonical_string()}".rstrip(), ",".join(header)]
+    rows = list(rows)
+    if rows:
+        # One %-format per row: _fmt's %d or %.12g, by the first row's types.
+        fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.12g" for v in rows[0])
+        lines += [fmt % row for row in rows]
     return "\n".join(lines) + "\n"
 
 

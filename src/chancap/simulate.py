@@ -15,18 +15,18 @@ typical-set decoder is correct, the true codeword is the unique passer
 and hence the strict Hamming minimizer, so per trial
 1{ML error} <= 1{TS outage or TS error}.
 
-Sweep trials are sharded with seeds spawned from the master seed and
-merged by summing counts; blocklengths in a sweep share each shard's
-state and noise streams (common random numbers), pairing the per-n
-comparisons.  Codewords and noise blocks are held as little-endian
-uint64 words, ceil(n/64) per block with the bits above n zero, and
-Hamming distances are popcounts of their XOR.  A shard's noise is packed
-once at the largest n, and each n takes its prefix words with the bits
-above n cleared.  The decode runs codeword-major: the (m, trials)
-distances are laid out with the longer axis innermost (trials, unless a
-codebook has more codewords than the shard has trials), so the density,
-the pass counts and the ML maxima are passes along that axis.  Uncoded
-BEC trials use one generator per call.
+A sweep draws from 2 + 2 len(ns) generators spawned from the seed by
+index: the states, the noise uniforms, and per entry of ns its codebooks
+and its sent indices.  Each stream is consumed in trial order, so trials
+are decoded in memory-bounded chunks whose size changes no count, and
+every n sees the same states and noise (common random numbers).
+Codewords and noise blocks are little-endian uint64 words, ceil(n/64)
+per block with the bits above n zero; Hamming distances are popcounts
+of their XOR.  A chunk's noise is packed once at the largest n, and each
+n takes its prefix words.  The decode runs codeword-major: (m, trials)
+distances with the longer axis innermost, so the density, the pass
+counts and the ML maxima are passes along it.  Uncoded BEC trials use
+one generator per call.
 """
 
 from __future__ import annotations
@@ -40,17 +40,18 @@ from .capacity import capacity_vs_outage
 from .channels import ContinuousBscComposite, state_law
 
 # Codebook size guards: floor(2^{nR}) codewords of n bits, and at most
-# _MAX_DRAW bytes of uint64 words in one shard's draw of per-trial
-# codebooks.
+# _MAX_DRAW bytes of a sweep's uint64 codebook words at one n.
 _MAX_NR = 20.0
-_MAX_DRAW = 2**26
+_MAX_DRAW = 2**29
+
+# Trials per chunk: at most _CHUNK, and fewer when a chunk's codebooks at
+# one n or its noise uniforms would pass _CHUNK_BYTES (cache-sized decode
+# arrays).  Both are the fastest of those timed on a 2-core VM.
+_CHUNK = 8192
+_CHUNK_BYTES = 2**20
 
 # Largest number of channel uses in one binomial draw.
 _INT64_MAX = 2**63 - 1
-
-# Shards of a decoder sweep.  Each takes one seed spawned from the
-# master seed, so this count fixes the sweep's random streams.
-_SHARDS = 8
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,6 @@ class SimResult:
         # just guarantee decoding errors on a binary channel).
         if not 0.0 <= self.expected_rate <= self.rate + 1e-12:
             raise ValueError("SimResult: expected_rate must lie in [0, rate]")
-
-
-def _shard_sizes(trials: int, shards: int) -> list[int]:
-    base, extra = divmod(trials, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
 def _words(n: int) -> int:
@@ -125,8 +121,7 @@ def _distances(books: np.ndarray, y: np.ndarray, order: str) -> np.ndarray:
     return dist
 
 
-def _draw_crossovers(composite, rng, size: int) -> np.ndarray:
-    law = state_law(composite)
+def _draw_crossovers(law, rng, size: int) -> np.ndarray:
     if isinstance(law, ContinuousBscComposite):
         return law.sample(rng, size)
     if law.params is None:
@@ -148,10 +143,10 @@ def simulate_outage_code_sweep(
 ) -> list[SimResult]:
     """Run the typical-set decoder at several blocklengths, paired.
 
-    Within a shard, every blocklength sees the same drawn states and the
-    same noise uniforms (truncated to its own n), so cross-n error
-    comparisons are common-random-number paired.  A repeated n is a
-    further run with its own codebooks and its own result.
+    Every blocklength sees the same drawn states and the same noise
+    uniforms (truncated to its own n), so cross-n error comparisons are
+    common-random-number paired.  A repeated n is a further run with its
+    own codebooks and its own result.
     """
     ns = [int(n) for n in ns]
     if len(ns) == 0 or any(n < 1 for n in ns):
@@ -163,41 +158,44 @@ def simulate_outage_code_sweep(
         raise ValueError("simulate: rate must be positive")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("simulate: epsilon must be positive and finite")
-    shards = min(_SHARDS, trials)
-    sizes = _shard_sizes(trials, shards)
-    for n in ns:
-        if n * rate > _MAX_NR:
-            raise ValueError(f"simulate: nR = {n * rate:.1f} exceeds the codebook budget ({_MAX_NR})")
-        draw_bytes = sizes[0] * math.floor(2.0 ** (n * rate)) * _words(n) * 8
+    n_max = max(ns)
+    if n_max * rate > _MAX_NR:
+        raise ValueError(f"simulate: nR = {n_max * rate:.1f} exceeds the codebook budget ({_MAX_NR})")
+    ms = [math.floor(2.0 ** (n * rate)) for n in ns]
+    for n, m in zip(ns, ms):
+        draw_bytes = trials * m * _words(n) * 8
         if draw_bytes > _MAX_DRAW:
             raise ValueError(
-                f"simulate: a shard's codebooks at n = {n} take {draw_bytes} bytes, "
+                f"simulate: the sweep's codebooks at n = {n} take {draw_bytes} bytes, "
                 f"over the memory budget of {_MAX_DRAW} bytes; lower trials, n or rate"
             )
 
     threshold = capacity_vs_outage(composite, q) - epsilon
-    n_max = max(ns)
-    shard_seqs = np.random.SeedSequence(seed).spawn(shards)
+    law = state_law(composite)
+    # Generators by fixed index: the states, the noise uniforms, then the
+    # codebooks and the sent indices of each entry of ns.
+    seqs = np.random.SeedSequence(seed).spawn(2 + 2 * len(ns))
+    state_rng, noise_rng, *run_rngs = map(np.random.default_rng, seqs)
+    runs = list(zip(ns, ms, run_rngs[0::2], run_rngs[1::2]))
+    trial_bytes = 8 * max(n_max, max(m * _words(n) for n, m in zip(ns, ms)))
+    chunk = max(1, min(_CHUNK, trials, _CHUNK_BYTES // trial_bytes))
 
     # One tally per entry of ns: a repeated n is a second, independent run.
     counts = [{"outage": 0, "error": 0, "ml_error": 0, "violations": 0} for _ in ns]
-    for size, seq in zip(sizes, shard_seqs):
-        state_seq, *book_seqs = seq.spawn(1 + len(ns))
-        trial_rng = np.random.default_rng(state_seq)
-        ps = _draw_crossovers(composite, trial_rng, size)
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        ps = _draw_crossovers(law, state_rng, size)
         # Packed once at n_max; each n decodes the first n bits.
-        noise = _pack_bits(trial_rng.random((size, n_max)) < ps[:, None])
+        noise = _pack_bits(noise_rng.random((size, n_max)) < ps[:, None])
         pc = np.clip(ps, 1e-300, 1.0 - 1e-16)
         log_p, log_1p = np.log2(pc), np.log2(1.0 - pc)
         if ml_oracle:
             ln_p, ln_1p = np.log(pc), np.log(1.0 - pc)
         cols = np.arange(size)
 
-        for c, n, book_seq in zip(counts, ns, book_seqs):
-            book_rng = np.random.default_rng(book_seq)
-            m = int(math.floor(2.0 ** (n * rate)))
+        for c, (n, m, book_rng, sent_rng) in zip(counts, runs):
             books = _draw_codebooks(book_rng, size, m, n)
-            sent = book_rng.integers(0, m, size=size)
+            sent = sent_rng.integers(0, m, size=size)
             y = books[cols, sent] ^ _clear_above(noise[:, : _words(n)].copy(), n)
             # Codeword-major (m, size) arrays, laid out with the longer axis
             # innermost so that every pass below runs along it, and each

@@ -441,11 +441,14 @@ CAPACITY_SHA256 = {
 
 # sha256 of the `chancap simulate` CSV at its defaults: the decoder
 # sweep on the uniform law and on frozen Gilbert-Elliott (both pin the
-# eight spawned shard streams), and the uncoded BEC mixture.
+# per-role streams spawned by index from the seed: states, noise
+# uniforms, and each n's codebooks and sent indices), and the uncoded BEC
+# mixture.  Each sweep's outage rates lie in a delta = 1e-6 Bernstein
+# band around their exact law (test_sweep_outage_rates_match_exact_law).
 SIMULATE_SHA256 = {
-    "": "3120f491a2aeced65bbd4b57b808f92138e985e901581488fe01a25b337895c9",
+    "": "5e4d601c30beb2d45415665329b89a4bb7b9984018303200b99c44e7ce064ac8",
     "family=ge\np_good=0.05\np_bad=0.3\npi_good=0.14\n":
-        "5bf78f96885ef7987f1e84b2a59dc25a41bc99b940675fa2e15fbaef2d70743c",
+        "c5a35b808b3c5c3844a7744c6bddb6489cd78cca8cc868b811d440eac5be7f0a",
     "family=bec\nerasures=0,0.1,0.3\npmf=0.2,0.5,0.3\nseed=3\n":
         "f14263494d1b973df4b611c3ce93f4872bc7e452d5dc2d581f1b159df1280917",
 }

@@ -18,6 +18,8 @@ from chancap import (
     simulate_uncoded_bec,
 )
 from chancap import simulate
+from chancap.capacity import capacity_vs_outage
+from chancap.channels import state_law
 from chancap.simulate import _distances, _draw_codebooks, _pack_bits
 
 NOISELESS = DiscreteComposite((BscState(0.0),), [1.0])
@@ -61,11 +63,64 @@ def test_simulate_deterministic():
 def test_simulate_repeated_blocklength_is_an_independent_run():
     # Each entry of ns keeps its own counts and codebook stream; a repeated
     # n used to add both runs' counts into one tally (outage rate
-    # 0.229 + 0.226 = 0.455 reported twice here).
+    # 0.2375 + 0.2355 = 0.473 reported twice here).  Both rates lie in the
+    # exact-law band of test_sweep_outage_rates_match_exact_law.
     twice = simulate_outage_code_sweep(GE_FROZEN, [8, 8], rate=0.15, q=0.1, trials=2000, seed=0)
     once = simulate_outage_code_sweep(GE_FROZEN, [8], rate=0.15, q=0.1, trials=2000, seed=0)
-    assert twice[0] == once[0] and once[0].outage_rate == 0.229
-    assert twice[1].outage_rate == 0.226
+    assert twice[0] == once[0] and once[0].outage_rate == 0.2375
+    assert twice[1].outage_rate == 0.2355
+
+
+def _exact_outage(params, weights, n, m, threshold):
+    """P(outage) at blocklength n: no codeword passes when the sent one's
+    distance is Binomial(n, p) and the m - 1 others' are Binomial(n, 1/2),
+    averaged over crossovers p with the given weights.  The density is
+    evaluated as the decoder does, so `>=` ties fall the same way."""
+    d = np.arange(n + 1)
+    pc = np.clip(params, 1e-300, 1.0 - 1e-16)[:, None]
+    passes = 1.0 + (d / n) * np.log2(pc) + (1.0 - d / n) * np.log2(1.0 - pc) >= threshold
+    sent = (binom.pmf(d, n, params[:, None]) * passes).sum(axis=1)
+    other = (binom.pmf(d, n, 0.5) * passes).sum(axis=1)
+    return float(np.dot(weights, (1.0 - sent) * (1.0 - other) ** (m - 1)))
+
+
+# Midpoint cells for the uniform law (f = 2 on [0, 1/2]).  Each codeword
+# distance passes on one interval of p, so the outage integrand jumps at
+# most 2 (n + 1) times, and a jump inside a cell of width h costs the rule
+# at most f h: the slack is 4 (n + 1) h.
+_UNIFORM_CELLS = 20000
+
+
+@pytest.mark.parametrize(
+    "composite, ns, q, trials",
+    [
+        # `chancap simulate` at its defaults, on the uniform law and on
+        # frozen Gilbert-Elliott (the SIMULATE_SHA256 sweeps of test_cli).
+        (ContinuousBscComposite.uniform(), [8, 12, 16], 0.5, 10000),
+        (GilbertElliott(0.05, 0.3, g=0.0, b=0.0, pi_good=0.14), [8, 12, 16], 0.5, 10000),
+        (GE_FROZEN, [8, 8], 0.1, 2000),
+    ],
+    ids=["uniform", "ge", "repeated"],
+)
+def test_sweep_outage_rates_match_exact_law(composite, ns, q, trials):
+    rate, epsilon, delta = 0.15, 0.01, 1e-6
+    results = simulate_outage_code_sweep(composite, ns, rate=rate, q=q, trials=trials, epsilon=epsilon, seed=0)
+    threshold = capacity_vs_outage(composite, q) - epsilon
+    law = state_law(composite)
+    for res, n in zip(results, ns):
+        m = math.floor(2.0 ** (n * rate))
+        if isinstance(law, ContinuousBscComposite):
+            h = 0.5 / _UNIFORM_CELLS
+            cells = (np.arange(_UNIFORM_CELLS) + 0.5) * h
+            p_out = _exact_outage(cells, np.full(cells.size, 1.0 / cells.size), n, m, threshold)
+            slack = 4.0 * (n + 1) * h
+        else:
+            p_out, slack = _exact_outage(law.params, law.mass, n, m, threshold), 0.0
+        # Two-sided Bernstein band on the Binomial(trials, p_out) outage count.
+        log_term = math.log(2.0 / delta)
+        var = trials * p_out * (1.0 - p_out)
+        band = (log_term / 3.0 + math.sqrt((log_term / 3.0) ** 2 + 2.0 * var * log_term)) / trials
+        assert abs(res.outage_rate - p_out) <= band + slack, (n, p_out)
 
 
 def test_simulate_ml_oracle_dominance():
@@ -164,40 +219,41 @@ def test_packed_distances_match_int8_oracle(n, size, m, seed):
 
 def _trial_major_counts(composite, ns, rate, threshold, trials, seed, ml_oracle):
     """The trial-major decode that the codeword-major sweep replaced, as its
-    oracle: per-trial (size, 1) columns broadcast over (size, m) arrays, the
-    noise compared and packed again for every n, and argmax decisions.
-    Returns [outage, error, ml_error, violations] per n."""
-    shards = min(simulate._SHARDS, trials)
-    counts = {n: [0, 0, 0, 0] for n in ns}
-    for size, seq in zip(simulate._shard_sizes(trials, shards), np.random.SeedSequence(seed).spawn(shards)):
-        state_seq, *book_seqs = seq.spawn(1 + len(ns))
-        trial_rng = np.random.default_rng(state_seq)
-        ps = simulate._draw_crossovers(composite, trial_rng, size)
-        noise_u = trial_rng.random((size, max(ns)))
-        pc = np.clip(ps, 1e-300, 1.0 - 1e-16)
-        log_p = np.log2(pc)[:, None]
-        log_1p = np.log2(1.0 - pc)[:, None]
-        for n, book_seq in zip(ns, book_seqs):
-            book_rng = np.random.default_rng(book_seq)
-            m = int(math.floor(2.0 ** (n * rate)))
-            books = _draw_codebooks(book_rng, size, m, n)
-            sent = book_rng.integers(0, m, size=size)
-            y = books[np.arange(size), sent] ^ _pack_bits(noise_u[:, :n] < ps[:, None])
-            dist = np.bitwise_count(books ^ y[:, None, :]).sum(axis=2, dtype=np.int64)
-            dens = 1.0 + (dist / n) * log_p + (1.0 - dist / n) * log_1p
-            passed = dens >= threshold
-            num_passed = passed.sum(axis=1)
-            first = np.argmax(passed, axis=1)
-            outage = num_passed == 0
-            error = (~outage) & ((num_passed > 1) | (first != sent))
-            c = counts[n]
-            c[0] += int(outage.sum())
-            c[1] += int(error.sum())
-            if ml_oracle:
-                loglik = dist * np.log(pc)[:, None] + (n - dist) * np.log(1.0 - pc)[:, None]
-                ml_err = np.argmax(loglik, axis=1) != sent
-                c[2] += int(ml_err.sum())
-                c[3] += int((ml_err & ~(outage | error)).sum())
+    oracle: every trial drawn at once from the per-role streams (spawned
+    by index: states, noise uniforms, then each n's codebooks and sent
+    indices), per-trial (trials, 1) columns broadcast over (trials, m)
+    arrays, the noise compared and packed again for every n, and argmax
+    decisions.  Returns [outage, error, ml_error, violations] per entry
+    of ns."""
+    state_rng, noise_rng, *run_rngs = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2 + 2 * len(ns))
+    )
+    law = state_law(composite)
+    ps = law.params[state_rng.choice(law.mass.size, size=trials, p=law.mass)]
+    noise_u = noise_rng.random((trials, max(ns)))
+    pc = np.clip(ps, 1e-300, 1.0 - 1e-16)
+    log_p = np.log2(pc)[:, None]
+    log_1p = np.log2(1.0 - pc)[:, None]
+    counts = []
+    for n, book_rng, sent_rng in zip(ns, run_rngs[0::2], run_rngs[1::2]):
+        m = int(math.floor(2.0 ** (n * rate)))
+        books = _draw_codebooks(book_rng, trials, m, n)
+        sent = sent_rng.integers(0, m, size=trials)
+        y = books[np.arange(trials), sent] ^ _pack_bits(noise_u[:, :n] < ps[:, None])
+        dist = np.bitwise_count(books ^ y[:, None, :]).sum(axis=2, dtype=np.int64)
+        dens = 1.0 + (dist / n) * log_p + (1.0 - dist / n) * log_1p
+        passed = dens >= threshold
+        num_passed = passed.sum(axis=1)
+        first = np.argmax(passed, axis=1)
+        outage = num_passed == 0
+        error = (~outage) & ((num_passed > 1) | (first != sent))
+        c = [int(outage.sum()), int(error.sum()), 0, 0]
+        if ml_oracle:
+            loglik = dist * np.log(pc)[:, None] + (n - dist) * np.log(1.0 - pc)[:, None]
+            ml_err = np.argmax(loglik, axis=1) != sent
+            c[2] = int(ml_err.sum())
+            c[3] = int((ml_err & ~(outage | error)).sum())
+        counts.append(c)
     return counts
 
 
@@ -213,7 +269,7 @@ def _trial_major_counts(composite, ns, rate, threshold, trials, seed, ml_oracle)
 )
 # m = 1 at every n, with p = 0 and p = 1/2 (every log-likelihood ties).
 @example(params=[0.0, 0.5], ns=[64, 1, 128], m_top=1, trials=40, tie=(1, 0, 3), ml=True, seed=3)
-# m = 40 codewords against shards of 2 trials: the codeword axis is the long one.
+# m = 40 codewords against 16 trials: the codeword axis is the long one.
 @example(params=[0.5, 0.1], ns=[65, 63], m_top=40, trials=16, tie=(0, 0, 30), ml=True, seed=4)
 def test_codeword_major_decode_matches_trial_major_oracle(params, ns, m_top, trials, tie, ml, seed):
     composite = DiscreteComposite(tuple(BscState(p) for p in params), [1.0 / len(params)] * len(params))
@@ -234,13 +290,71 @@ def test_codeword_major_decode_matches_trial_major_oracle(params, ns, m_top, tri
         results = simulate_outage_code_sweep(composite, ns, rate=rate, q=0.5, trials=trials,
                                              epsilon=epsilon, seed=seed, ml_oracle=ml)
     want = _trial_major_counts(composite, ns, rate, target, trials, seed, ml)
-    for res in results:
-        outage, error, ml_error, violations = want[res.blocklength]
+    for res, (outage, error, ml_error, violations) in zip(results, want):
         decoded = trials - outage
         assert res.outage_rate == outage / trials
         assert res.error_rate_given_no_outage == (error / decoded if decoded else 0.0)
         assert res.ml_error_rate == (ml_error / trials if ml else None)
         assert res.ml_dominance_violations == (violations if ml else None)
+
+
+def _sweep_with_chunk(chunk, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK", chunk)
+        return simulate_outage_code_sweep(*args, **kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.none() | st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5), min_size=1, max_size=3),
+    ns=st.lists(st.integers(1, 130) | st.sampled_from([63, 64, 65, 128]), min_size=1, max_size=4),
+    m_top=st.integers(1, 40),
+    trials=st.integers(1, 100),
+    prime=st.sampled_from([2, 3, 7, 13, 31]),
+    extra=st.integers(0, 50),
+    ml=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# The uniform law, a repeated n, m = 40 codewords above chunks of 7 trials
+# and below the chunk of all 99, which 7 does not divide.
+@example(params=None, ns=[64, 65, 64, 128], m_top=40, trials=99, prime=7, extra=0, ml=True, seed=5)
+# p = 0 and p = 1/2 (every log-likelihood ties), m = 1 at every n.
+@example(params=[0.0, 0.5], ns=[63, 63], m_top=1, trials=50, prime=3, extra=1, ml=True, seed=6)
+def test_chunk_size_changes_no_count(params, ns, m_top, trials, prime, extra, ml, seed):
+    # Every stream is consumed in trial order, so decoding in chunks of 1,
+    # of a prime and of at least all trials gives the same results: equal
+    # rates over the same trials are equal outage, error, ML-error and
+    # violation counts.
+    if params is None:
+        composite = ContinuousBscComposite.uniform()
+    else:
+        composite = DiscreteComposite(tuple(BscState(p) for p in params), [1.0 / len(params)] * len(params))
+    rate = math.log2(m_top + 0.5) / max(ns)
+    args = (composite, ns)
+    kwargs = dict(rate=rate, q=0.5, trials=trials, seed=seed, ml_oracle=ml)
+    whole = _sweep_with_chunk(trials + extra, *args, **kwargs)
+    assert _sweep_with_chunk(1, *args, **kwargs) == whole
+    assert _sweep_with_chunk(prime, *args, **kwargs) == whole
+
+
+def test_chunks_stay_under_the_byte_budget():
+    # A chunk's codebooks at one n and its noise uniforms each take at most
+    # _CHUNK_BYTES; the sizes are read off the state draws, one per chunk.
+    def chunk_sizes(ns, rate, trials):
+        sizes = []
+        draw = simulate._draw_crossovers
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_CHUNK_BYTES", 2**12)
+            mp.setattr(simulate, "_draw_crossovers", lambda law, rng, size: sizes.append(size) or draw(law, rng, size))
+            simulate_outage_code_sweep(GE_FROZEN, ns, rate=rate, q=0.5, trials=trials, seed=0)
+        return sizes
+
+    # 32 codewords of one word: 256 bytes per trial, so 16 trials per chunk.
+    assert chunk_sizes([10, 4], 0.5, 40) == [16, 16, 8]
+    # One codeword of three words, but 130 noise uniforms per trial.
+    assert chunk_sizes([130], 0.001, 7) == [3, 3, 1]
+    # A single trial over the budget is still decoded, alone.
+    assert chunk_sizes([600], 0.001, 2) == [1, 1]
 
 
 def test_simulate_blocklength_above_64():
