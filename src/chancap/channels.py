@@ -26,13 +26,6 @@ EPS = 1e-12
 _ENTROPY_BISECTIONS = 66
 
 
-def _rng(seed):
-    """Accept an int seed or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def binary_entropy(p):
     """Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0.
 
@@ -366,7 +359,7 @@ def sample_state(composite, seed):
     state distribution: the paper's composite channel picks S at time
     zero and holds it for the whole block, and the receiver learns it."""
     law = state_law(composite)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if isinstance(law, ContinuousBscComposite):
         return BscState(float(law.sample(rng, 1)[0]))
     if law.params is None:
@@ -403,7 +396,7 @@ def transmit(state, x_block, seed):
         raise ValueError("transmit: empty block")
     if np.any((x != 0) & (x != 1)):
         raise ValueError("transmit: input block must be binary")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if isinstance(state, BscState):
         flips = rng.random(x.shape) < state.crossover
         return np.where(flips, 1 - x, x).astype(np.int8)

@@ -34,17 +34,11 @@ from .simulate import simulate_outage_code_sweep, simulate_uncoded_bec
 from .spectrum import estimate_spectrum
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
 def _render(cfg: RunConfig, header, rows) -> str:
     lines = [f"# chancap {cfg.subcommand} :: {cfg.canonical_string()}".rstrip(), ",".join(header)]
     rows = list(rows)
     if rows:
-        # One %-format per row: _fmt's %d or %.12g, by the first row's types.
+        # One %-format per row: %d or %.12g, by the first row's types.
         fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.12g" for v in rows[0])
         lines += [fmt % row for row in rows]
     return "\n".join(lines) + "\n"
@@ -74,10 +68,10 @@ def cmd_spectrum(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
         raise ConfigError("spectrum: need at least one blocklength")
     if "alpha_grid" in cfg.raw:
         alphas = np.asarray(cfg.floats("alpha_grid", ""), dtype=float)
-        if alphas.size == 0:
-            raise ConfigError("spectrum: alpha_grid must be nonempty")
     else:
         alphas = np.linspace(0.0, 1.0, cfg.grid)
+    if alphas.size == 0:
+        raise ConfigError("spectrum: the alpha grid must be nonempty")
     columns = [alphas]
     header = ["alpha"]
     for n in ns:
@@ -206,24 +200,24 @@ def cmd_mapdemo(cfg: RunConfig, base_dir: Path) -> tuple[str, None]:
 
     lines = [f"# chancap mapdemo :: {cfg.canonical_string()}".rstrip()]
     lines.append(f"blocklength n = {n}")
-    lines.append(f"states = {num_states}, pmf = [{', '.join(_fmt(w) for w in pmf)}]")
-    lines.append(f"total rate R_t = {_fmt(code.total_rate)} ({len(sets.i_t)} bits)")
-    lines.append(f"rounding deficit = {_fmt(code.rounding_deficit)} bits/use")
+    lines.append(f"states = {num_states}, pmf = [{', '.join(f'{w:.12g}' for w in pmf)}]")
+    lines.append(f"total rate R_t = {code.total_rate:.12g} ({len(sets.i_t)} bits)")
+    lines.append(f"rounding deficit = {code.rounding_deficit:.12g} bits/use")
     for p in sorted(sets.i_p, key=lambda t: (-len(t), t)):
         lines.append(
-            f"subset {subset_label(p)}: rate {_fmt(len(sets.i_p[p]) / n)}, "
+            f"subset {subset_label(p)}: rate {len(sets.i_p[p]) / n:.12g}, "
             f"indices {_index_ranges(sets.i_p[p])}"
         )
     for s in range(num_states):
         lines.append(
-            f"state {s + 1}: R_s = {_fmt(code.state_rates[s])}, "
+            f"state {s + 1}: R_s = {code.state_rates[s]:.12g}, "
             f"I_s = {_index_ranges(sets.i_s[s])}"
         )
-    lines.append(f"expected rate = {_fmt(code.expected_rate)}")
+    lines.append(f"expected rate = {code.expected_rate:.12g}")
     # bc_to_expected verified the index sets; it raises on a bad partition.
     lines.append("partition check: ok")
     lines.append("round-trip check: ok")
-    lines.append(f"objective identity gap = {_fmt(identity_gap)}")
+    lines.append(f"objective identity gap = {identity_gap:.12g}")
     return "\n".join(lines) + "\n", None
 
 
@@ -321,7 +315,7 @@ def main(argv=None) -> int:
         if args.plot_script:
             Path(args.plot_script).write_text(_plot_script(out, header))
         return 0
-    except (ConfigError, ValueError, OSError, SolverError) as exc:
+    except (ConfigError, ValueError, OSError, SolverError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,24 +51,13 @@ def load_config(path) -> dict[str, str]:
     return parse_config_text(Path(path).read_text())
 
 
-def _floats(value: str) -> list[float]:
+def _numbers(value: str, kind: type) -> list:
+    """The nonblank comma-separated tokens of `value` as `kind` (float or int)."""
     try:
-        return [float(tok) for tok in value.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {value!r}") from exc
-
-
-def _ints(value: str) -> list[int]:
-    out = []
-    for tok in value.split(","):
-        tok = tok.strip()
-        if tok == "":
-            continue
-        try:
-            out.append(int(tok))
-        except ValueError as exc:
-            raise ConfigError(f"expected comma-separated integers, got {value!r}") from exc
-    return out
+        noun = "numbers" if kind is float else "integers"
+        raise ConfigError(f"expected comma-separated {noun}, got {value!r}") from exc
 
 
 def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
@@ -87,13 +76,13 @@ def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
         if family == "bsc":
             if "states" not in cfg or "pmf" not in cfg:
                 raise ConfigError("family=bsc needs states= and pmf=")
-            states = tuple(BscState(p) for p in _floats(cfg["states"]))
-            return DiscreteComposite(states, np.asarray(_floats(cfg["pmf"])))
+            states = tuple(BscState(p) for p in _numbers(cfg["states"], float))
+            return DiscreteComposite(states, np.asarray(_numbers(cfg["pmf"], float)))
         if family == "bec":
             if "erasures" not in cfg or "pmf" not in cfg:
                 raise ConfigError("family=bec needs erasures= and pmf=")
-            states = tuple(BecState(a) for a in _floats(cfg["erasures"]))
-            return DiscreteComposite(states, np.asarray(_floats(cfg["pmf"])))
+            states = tuple(BecState(a) for a in _numbers(cfg["erasures"], float))
+            return DiscreteComposite(states, np.asarray(_numbers(cfg["pmf"], float)))
         if family == "ge":
             missing = [k for k in ("p_good", "p_bad") if k not in cfg]
             if missing:
@@ -171,10 +160,10 @@ class RunConfig:
         return sorted(self.raw.keys() - self.raw.read)
 
     def floats(self, key: str, default: str) -> list[float]:
-        return _floats(self.raw.get(key, default))
+        return _numbers(self.raw.get(key, default), float)
 
     def ints(self, key: str, default: str) -> list[int]:
-        return _ints(self.raw.get(key, default))
+        return _numbers(self.raw.get(key, default), int)
 
     def canonical_string(self) -> str:
         """Sorted key=value rendering for the reproducibility comment.

@@ -590,9 +590,9 @@ def _layering(density, band: CutoffPair, num: int) -> LayerProfile:
     return LayerProfile(grid=grid, r=np.concatenate([[0.0], r]))
 
 
-def solve_layering(density, num: int = _PROFILE_POINTS) -> LayerProfile:
+def solve_layering(density) -> LayerProfile:
     """Solve the Euler equation on a grid over [p_l, p_u] (find_cutoffs)."""
-    return _layering(density, find_cutoffs(density), num)
+    return _layering(density, find_cutoffs(density), _PROFILE_POINTS)
 
 
 def rate_profile(layer: LayerProfile) -> RateProfile:
@@ -620,7 +620,7 @@ def _expected_rate(density, prof: RateProfile) -> float:
     return float(density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g))
 
 
-def expected_capacity_continuous(density, num: int = _PROFILE_POINTS) -> float:
+def expected_capacity_continuous(density) -> float:
     """Expected capacity of the continuous-state BSC composite.
 
     Solves the layering, then evaluates
@@ -638,7 +638,7 @@ def expected_capacity_continuous(density, num: int = _PROFILE_POINTS) -> float:
     band = find_cutoffs(density)
     value, top = 0.0, 1.0 - binary_entropy(band.p_u)
     if band.p_l < band.p_u:
-        layer = _layering(density, band, num)
+        layer = _layering(density, band, _PROFILE_POINTS)
         prof = rate_profile(layer)
         g, r = layer.grid, layer.r
         x = np.clip(star(g, r), EPS, 1.0 - EPS)

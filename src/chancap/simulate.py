@@ -24,7 +24,7 @@ Codewords and noise blocks are little-endian uint64 words, ceil(n/64)
 per block with the bits above n zero; Hamming distances are popcounts
 of their XOR.  A chunk's noise is packed once at the largest n, and each
 n takes its prefix words.  The decode runs codeword-major: (m, trials)
-distances with the longer axis innermost, so the density, the pass
+distances with the trial axis innermost, so the density, the pass
 counts and the ML maxima are passes along it.  Uncoded BEC trials use
 one generator per call.
 """
@@ -108,14 +108,14 @@ def _clear_above(words: np.ndarray, n: int) -> np.ndarray:
     return words
 
 
-def _distances(books: np.ndarray, y: np.ndarray, order: str) -> np.ndarray:
+def _distances(books: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Hamming distances between packed codebooks (size, m, words) and
     packed received blocks (size, words), as a codeword-major (m, size)
-    float array in `order` ("C" or "F") memory layout."""
+    C-contiguous float array."""
     counts = np.bitwise_count(books ^ y[:, None, :])
     # Word by word: for n <= 64 a sum over the one-word axis would be a
     # reduction of length 1 per codeword.
-    dist = counts[..., 0].T.astype(np.float64, order=order)
+    dist = counts[..., 0].T.astype(np.float64, order="C")
     for k in range(1, counts.shape[2]):
         dist += counts[..., k].T
     return dist
@@ -197,14 +197,10 @@ def simulate_outage_code_sweep(
             books = _draw_codebooks(book_rng, size, m, n)
             sent = sent_rng.integers(0, m, size=size)
             y = books[cols, sent] ^ _clear_above(noise[:, : _words(n)].copy(), n)
-            # Codeword-major (m, size) arrays, laid out with the longer axis
-            # innermost so that every pass below runs along it, and each
-            # trial's sent codeword as a flat index into that layout.
-            if m <= size:
-                order, at_sent = "C", sent * size + cols
-            else:
-                order, at_sent = "F", sent + cols * m
-            dist = _distances(books, y, order)
+            # Codeword-major (m, size) arrays, and each trial's sent
+            # codeword as a flat index into them.
+            at_sent = sent * size + cols
+            dist = _distances(books, y)
             # Density 1 + frac log2 p + (1 - frac) log2(1 - p), summed in
             # that order, in place: on large codebooks fresh temporaries
             # cost more than the arithmetic.
@@ -218,7 +214,7 @@ def simulate_outage_code_sweep(
             num_passed = passed.sum(axis=0)
             # Correct: the sent codeword is the unique passer.  Every other
             # trial that is not an outage is an error.
-            correct = (num_passed == 1) & passed.ravel(order)[at_sent]
+            correct = (num_passed == 1) & passed.ravel()[at_sent]
             outage = int(np.count_nonzero(num_passed == 0))
             c["outage"] += outage
             c["error"] += size - outage - int(np.count_nonzero(correct))
@@ -229,8 +225,8 @@ def simulate_outage_code_sweep(
                 rest *= ln_1p
                 loglik += rest
                 # ML errs unless the sent codeword is the first maximizer.
-                ll_sent = loglik.ravel(order)[at_sent]
-                earlier = np.less.outer(np.arange(m), sent, order=order)
+                ll_sent = loglik.ravel()[at_sent]
+                earlier = np.less.outer(np.arange(m), sent)
                 ml_err = (loglik.max(axis=0) > ll_sent) | ((loglik == ll_sent) & earlier).any(axis=0)
                 c["ml_error"] += int(np.count_nonzero(ml_err))
                 c["violations"] += int(np.count_nonzero(ml_err & correct))

@@ -349,6 +349,21 @@ def test_sample_state_deterministic():
     assert sample_state(dc, seed=5) == sample_state(dc, seed=5)
 
 
+def test_sample_state_and_transmit_draw_from_a_given_generator():
+    # A Generator passed as the seed is used as is: the draws continue
+    # its stream, exactly as drawing from it directly.
+    dc = DiscreteComposite((BscState(0.1), BscState(0.3)), (0.5, 0.5))
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    states = [sample_state(dc, rng) for _ in range(20)]
+    assert states == [BscState((0.1, 0.3)[int(ref.choice(2, p=dc.law.mass))]) for _ in range(20)]
+    uniform = ContinuousBscComposite.uniform()
+    assert sample_state(uniform, rng) == BscState(float(uniform.sample(ref, 1)[0]))
+    x = np.zeros(64, dtype=np.int8)
+    assert np.array_equal(transmit(BscState(0.3), x, rng), (ref.random(64) < 0.3).astype(np.int8))
+    y = transmit(BecState(0.4), x, rng)
+    assert np.array_equal(y, np.where(ref.random(64) < 0.4, ERASURE, 0).astype(np.int8))
+
+
 def test_sample_state_rejects_ergodic_gilbert_elliott():
     # An ergodic chain keeps moving, so there is no frozen state to draw.
     ergodic = GilbertElliott(0.05, 0.3, g=0.2, b=0.1, pi_good=0.5)

@@ -376,6 +376,29 @@ def test_cli_key_inventory(tmp_path, capsys, run, family):
         assert call(reads | {key}) == (2, False, f"error: {sub} does not read {key}\n")
 
 
+def test_spectrum_empty_alpha_grid_exits_2(tmp_path, capsys):
+    # --grid 0 used to exit 0 with only the header; an empty alpha_grid=
+    # gives the same error.
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("alpha_grid=\n")
+    for argv in (["spectrum", "--grid", "0"], ["spectrum", "--config", str(cfg)]):
+        assert main([*argv, "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: spectrum: the alpha grid must be nonempty\n"
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # A draw too large for the host used to end in a traceback.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setattr(cli, "estimate_spectrum", no_memory)
+    assert main(["spectrum", "--trials", "10000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: Unable to allocate 72.8 TiB\n"
+
+
 def test_codebook_memory_guard_exits_2(tmp_path, capsys):
     cfg = tmp_path / "big.cfg"
     cfg.write_text("family=bsc\nstates=0.05\npmf=1\nns=20\nrate=1\n")

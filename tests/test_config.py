@@ -141,8 +141,12 @@ def test_run_config_list_helpers():
     cfg = RunConfig(subcommand="simulate", raw={"ns": "8, 12 ,16"})
     assert cfg.ints("ns", "1") == [8, 12, 16]
     assert cfg.floats("rate", "0.15,0.2") == [0.15, 0.2]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="expected comma-separated integers, got '8,twelve'"):
         RunConfig(subcommand="simulate", raw={"ns": "8,twelve"}).ints("ns", "1")
+    with pytest.raises(ConfigError, match="expected comma-separated integers, got '8,1.5'"):
+        RunConfig(subcommand="simulate", raw={"ns": "8,1.5"}).ints("ns", "1")
+    with pytest.raises(ConfigError, match="expected comma-separated numbers, got '0.1,x'"):
+        RunConfig(subcommand="broadcast", raw={"gammas": "0.1,x"}).floats("gammas", "1")
 
 
 def test_canonical_string_omits_out():

@@ -220,8 +220,9 @@ def test_solve_euler_r():
     (_smooth_bump(), 1025),
     (BELOW_LADDER_LAW, 1025),
 ])
-def test_solve_layering_matches_brentq_oracle(density, num):
-    layer = solve_layering(density, num=num)
+def test_solve_layering_matches_brentq_oracle(density, num, monkeypatch):
+    monkeypatch.setattr(layering, "_PROFILE_POINTS", num)
+    layer = solve_layering(density)
     grid, r = _brentq_layering(density, num, find_cutoffs(density))
     assert np.array_equal(layer.grid, grid)
     # Only the two multi-band laws have falling pointwise optima to pool.
@@ -390,8 +391,9 @@ def test_rate_profile_validation():
         RateProfile(g, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
 
 
-def test_solve_layering_shape():
-    layer = solve_layering(UNIFORM, num=513)
+def test_solve_layering_shape(monkeypatch):
+    monkeypatch.setattr(layering, "_PROFILE_POINTS", 513)
+    layer = solve_layering(UNIFORM)
     cut = find_cutoffs(UNIFORM)
     assert layer.grid[0] == cut.p_l and layer.grid[-1] == cut.p_u
     assert layer.r[0] == 0.0 and layer.r[-1] == 0.5
@@ -491,10 +493,14 @@ def test_solved_profile_is_first_order_optimal():
         assert functional(LayerProfile(g, r)) <= base + 1e-9
 
 
-def test_expected_capacity_grid_convergence():
+def test_expected_capacity_grid_convergence(monkeypatch):
     # Observed: difference 4.2e-9 and order 1.91 (trapezoid plus central
     # differences are second order).
-    c4, c8, c16 = (expected_capacity_continuous(UNIFORM, num=n) for n in (4097, 8193, 16385))
+    def at(num):
+        monkeypatch.setattr(layering, "_PROFILE_POINTS", num)
+        return expected_capacity_continuous(UNIFORM)
+
+    c4, c8, c16 = (at(n) for n in (4097, 8193, 16385))
     assert abs(c4 - c16) <= 1e-8
     order = math.log2(abs(c4 - c8) / abs(c8 - c16))
     assert 1.5 <= order <= 2.5
@@ -982,8 +988,9 @@ def test_solver_certificates_raise_solver_error(monkeypatch):
     monkeypatch.undo()
     real = layering.rate_profile
     monkeypatch.setattr(layering, "rate_profile", lambda lay: RateProfile(lay.grid, 2.0 * real(lay).rates))
+    monkeypatch.setattr(layering, "_PROFILE_POINTS", 257)
     with pytest.raises(SolverError, match="integral forms disagree"):
-        expected_capacity_continuous(UNIFORM, num=257)
+        expected_capacity_continuous(UNIFORM)
 
 
 @pytest.mark.parametrize("width", [1e-8, 1e-6, 1e-4])

@@ -33,8 +33,6 @@ KNOBS = {
     "SimResult.per_state_rates": "present only for sweeps that report per-state rates",
     "SimResult.ml_error_rate": "present only when the ML oracle ran",
     "SimResult.ml_dominance_violations": "present only when the ML oracle ran",
-    "expected_capacity_continuous.num": "profile grid; the tests refine it to check convergence",
-    "solve_layering.num": "profile grid; the tests vary it against an independent per-point solve",
     "simulate_outage_code_sweep.epsilon": "the decoder's information-density threshold slack",
     "simulate_outage_code_sweep.seed": "master seed of the Monte Carlo stream",
     "simulate_outage_code_sweep.ml_oracle": "opt-in brute-force ML cross-check of the threshold decoder",

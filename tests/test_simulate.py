@@ -209,12 +209,10 @@ def test_packed_distances_match_int8_oracle(n, size, m, seed):
     packed_noise = _pack_bits(noise)
     assert np.array_equal(_unpack_words(packed_noise, n)[0], noise)
     y = books[np.arange(size), sent] ^ packed_noise
-    # Codeword-major (m, size) in either memory layout.
-    want = _int8_distances(bits, sent, noise.astype(np.int8)).T
-    for order, contiguous in (("C", "C_CONTIGUOUS"), ("F", "F_CONTIGUOUS")):
-        dist = _distances(books, y, order)
-        assert dist.flags[contiguous] and dist.dtype == np.float64
-        assert np.array_equal(dist, want)
+    # Codeword-major (m, size), C-contiguous.
+    dist = _distances(books, y)
+    assert dist.flags["C_CONTIGUOUS"] and dist.dtype == np.float64
+    assert np.array_equal(dist, _int8_distances(bits, sent, noise.astype(np.int8)).T)
 
 
 def _trial_major_counts(composite, ns, rate, threshold, trials, seed, ml_oracle):
