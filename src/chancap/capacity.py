@@ -4,7 +4,8 @@ Three notions are computed:
 
 * Shannon capacity: the largest rate decodable for every positive-mass
   state, i.e. the infimum of the information-spectrum support.  For the
-  families here that is the capacity of the worst supported state.
+  families here that is the capacity of the worst supported state, and
+  it is C_q at q = 0.
 * Capacity versus outage C_q: the largest rate decodable outside an
   outage set of probability at most q; the decoder recognizes outages.
   Equivalently the Shannon capacity of the best probability-q
@@ -74,17 +75,13 @@ class CapacityBounds:
 
 
 def shannon_capacity(composite) -> float:
-    """Worst-supported-state capacity (support infimum of the spectrum).
+    """Worst-supported-state capacity (support infimum of the spectrum): C_0.
 
     Depends on the pmf only through its support, which is the
     support-set invariance property: equivalent state measures give
     equal Shannon capacity, and shrinking the support can only raise it.
     """
-    law = state_law(composite)
-    if isinstance(law, ContinuousBscComposite):
-        return bsc_capacity(law.support_sup())
-    caps, weights = _worst_first(law)
-    return float(caps[np.flatnonzero(weights)[0]])
+    return float(_c_q(composite, np.zeros(1))[0])
 
 
 def _worst_first(law) -> tuple[np.ndarray, np.ndarray]:

@@ -196,6 +196,7 @@ class ContinuousBscComposite:
     _cum: np.ndarray = field(init=False, repr=False, default=None)
     _pdf: np.ndarray = field(init=False, repr=False, default=None)
     _cells: np.ndarray = field(init=False, repr=False, default=None)
+    _top: int = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -211,8 +212,9 @@ class ContinuousBscComposite:
             raise ValueError("ContinuousBscComposite: density must integrate to 1 within 1e-9")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "density", f)
-        # So that inverse_cdf(1) is the support edge, not past the grid.
+        # So that F ends at exactly 1 and no u in [0, 1] searches past the grid.
         object.__setattr__(self, "_cum", cum / cum[-1])
+        object.__setattr__(self, "_top", min(int(np.nonzero(f > 0.0)[0][-1]) + 1, g.size - 1))
         pdf = f / cum[-1]
         object.__setattr__(self, "_pdf", pdf)
         # Row j is the cell that ends at knot j: its left knot, F and f
@@ -267,6 +269,8 @@ class ContinuousBscComposite:
             out = u_arr / 2.0
         else:
             idx = np.searchsorted(self._cum, u_arr, side="left")
+            # u = 1 is the support edge, though F rounds to 1 below it on sub-ulp tails.
+            idx[u_arr == 1.0] = self._top
             x, big_f, f, half_slope = self._cells[idx].T
             du = u_arr - big_f
             denom = f + np.sqrt(np.maximum(f * f + 4.0 * half_slope * du, 0.0))
@@ -276,11 +280,8 @@ class ContinuousBscComposite:
         return float(out[0]) if np.isscalar(u) else out
 
     def support_sup(self) -> float:
-        """Supremum of {p : pdf(p) > 0}, one grid point past the last f > 0."""
-        pos = np.nonzero(self.density > 0.0)[0]
-        if pos.size == 0:
-            raise ValueError("ContinuousBscComposite: density is identically zero")
-        return float(self.grid[min(pos[-1] + 1, self.grid.size - 1)])
+        """Supremum of {p : pdf(p) > 0}, one knot past the last f > 0: inverse_cdf(1)."""
+        return float(self.grid[self._top])
 
     def sample(self, rng, size: int) -> np.ndarray:
         return self.inverse_cdf(rng.random(size))

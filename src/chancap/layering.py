@@ -70,7 +70,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LayerProfile:
-    """Monotone overall auxiliary crossover r(p) on a grid."""
+    """Monotone overall auxiliary crossover r(p) on a grid; a one-point
+    grid at p_u with r = 0 is the one-layer code of a band of width zero."""
 
     grid: np.ndarray
     r: np.ndarray
@@ -78,7 +79,7 @@ class LayerProfile:
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         r = np.asarray(self.r, dtype=float)
-        if g.ndim != 1 or g.size < 2 or r.shape != g.shape:
+        if g.ndim != 1 or g.size < 1 or r.shape != g.shape:
             raise ValueError("LayerProfile: grid and r must be matching 1-D arrays")
         if np.any(np.diff(g) <= 0.0):
             raise ValueError("LayerProfile: grid must be strictly increasing")
@@ -161,6 +162,19 @@ def _layer_rates(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _entropy_bits(upper + p - 2.0 * upper * p) - _entropy_bits(lower + p - 2.0 * lower * p)
 
 
+def _ladder(weights, p_states, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and states of a ladder as arrays: N states sorted in
+    [0, 1/2] and a pmf over them, or ValueError with the caller's name."""
+    w = np.asarray(weights, dtype=float)
+    p = np.asarray(p_states, dtype=float)
+    # Written as "not (in range)" so that NaN and inf fail every check.
+    if not (p.ndim == 1 and p.size >= 1 and ((p >= 0.0) & (p <= 0.5)).all() and (p[1:] >= p[:-1]).all()):
+        raise ValueError(f"{caller}: states must be sorted in [0, 1/2] and finite")
+    if not (w.shape == p.shape and (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"{caller}: weights must be a pmf over the states with finite entries")
+    return w, p
+
+
 def discrete_expected_rate(weights, p_states, r) -> float:
     """Expected rate sum_i w_i R(p_i) with R(p_i) = sum_{j >= i} R_j.
 
@@ -175,20 +189,14 @@ def discrete_expected_rate(weights, p_states, r) -> float:
     sum_j W_j R_j with W_j the cdf of the weights, which is the form the
     optimizer differentiates.
     """
-    w = np.asarray(weights, dtype=float)
-    p = np.asarray(p_states, dtype=float)
+    w, p = _ladder(weights, p_states, "discrete_expected_rate")
     rr = np.asarray(r, dtype=float)
-    # Written as "not (in range)" so that NaN and inf fail every check.
-    if not (p.ndim == 1 and p.size >= 1 and ((p >= 0.0) & (p <= 0.5)).all() and (p[1:] >= p[:-1]).all()):
-        raise ValueError("discrete_expected_rate: states must be sorted in [0, 1/2] and finite")
     if rr.shape != (p.size + 1,):
         raise ValueError("discrete_expected_rate: r must have length N+1 (including both endpoints)")
     if not (abs(rr[0]) <= 1e-12 and abs(rr[-1] - 0.5) <= 1e-12):
         raise ValueError("discrete_expected_rate: r must start at 0 and end at 1/2")
     if not np.all(np.diff(rr) >= -1e-12):
         raise ValueError("discrete_expected_rate: r must be nondecreasing and finite")
-    if not (w.shape == p.shape and (w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-9):
-        raise ValueError("discrete_expected_rate: weights must be a pmf over the states with finite entries")
     return float(np.dot(np.cumsum(w), _layer_rates(p, rr)))
 
 
@@ -329,15 +337,7 @@ def optimize_discrete(weights, p_states) -> tuple[np.ndarray, float]:
 
     Returns (chain r_0..r_N with r_0 = 0 and r_N = 1/2, expected rate).
     """
-    p = np.asarray(p_states, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != p.shape:
-        raise ValueError("optimize_discrete: weights and states must match")
-    # Written as "not (in range)" so that NaN and inf fail every check.
-    if not ((w >= 0.0).all() and abs(w.sum() - 1.0) <= 1e-9):
-        raise ValueError("optimize_discrete: weights must be a pmf with finite entries")
-    if not (p.ndim == 1 and p.size >= 1 and ((p >= 0.0) & (p <= 0.5)).all() and (p[1:] >= p[:-1]).all()):
-        raise ValueError("optimize_discrete: states must be sorted in [0, 1/2] and finite")
+    w, p = _ladder(weights, p_states, "optimize_discrete")
     cum_w = np.cumsum(w)
     cw, ps = cum_w.tolist(), p.tolist()
 
@@ -568,6 +568,16 @@ def find_cutoffs(density) -> CutoffPair:
     return CutoffPair(p_l=min(p_l, p_u), p_u=p_u)
 
 
+def _on_band(band: CutoffPair, num: int, r_of) -> LayerProfile:
+    """The profile r_of(grid) on num points over the band.  On a band of
+    width zero one layer at p_u is the optimal layered code (Shamai and
+    Steiner, 2003): a one-point grid with r = 0."""
+    if band.p_l == band.p_u:
+        return LayerProfile(grid=np.array([band.p_u]), r=np.zeros(1))
+    grid = np.linspace(band.p_l, band.p_u, num)
+    return LayerProfile(grid=grid, r=r_of(grid))
+
+
 def _layering(density, band: CutoffPair, num: int) -> LayerProfile:
     """The optimal layer profile on a grid over the band [p_l, p_u].
 
@@ -578,38 +588,41 @@ def _layering(density, band: CutoffPair, num: int) -> LayerProfile:
     continuum form of optimize_discrete's pooling), so the runs are
     pooled as two-state problems between the grid points a and b.
     """
-    if not band.p_l < band.p_u:
-        raise ValueError("solve_layering: the cutoff band has zero width; one layer at p_u is optimal")
-    grid = np.linspace(band.p_l, band.p_u, num)
-    r = _euler_r(grid[1:], density)
-    # The pooling loop runs in Python, so a profile that never falls skips it.
-    if (r[1:] < r[:-1]).any():
-        big_f, g = density.cdf(grid).tolist(), grid.tolist()
-        starts, levels = _pool(r.tolist(), lambda i, k: _two_state_argmax(big_f[i], g[i], big_f[k], g[k]))
-        r = np.repeat(levels, np.diff(np.append(starts, r.size)))
-    return LayerProfile(grid=grid, r=np.concatenate([[0.0], r]))
+    def r_of(grid: np.ndarray) -> np.ndarray:
+        r = _euler_r(grid[1:], density)
+        # The pooling loop runs in Python, so a profile that never falls skips it.
+        if (r[1:] < r[:-1]).any():
+            big_f, g = density.cdf(grid).tolist(), grid.tolist()
+            starts, levels = _pool(r.tolist(), lambda i, k: _two_state_argmax(big_f[i], g[i], big_f[k], g[k]))
+            r = np.repeat(levels, np.diff(np.append(starts, r.size)))
+        return np.concatenate([[0.0], r])
+
+    return _on_band(band, num, r_of)
 
 
 def solve_layering(density) -> LayerProfile:
-    """Solve the Euler equation on a grid over [p_l, p_u] (find_cutoffs)."""
+    """Solve the Euler equation on a grid over [p_l, p_u] (find_cutoffs);
+    a band of width zero gives the one-layer code (_on_band)."""
     return _layering(density, find_cutoffs(density), _PROFILE_POINTS)
 
 
-def rate_profile(layer: LayerProfile) -> RateProfile:
-    """Integrate the incremental layer rates down from the worst state.
-
-    -dR(p) = log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp, so
-    R(p) = J + integral from p to the top p_u of the grid; r' by central
-    differences, integral by trapezoid.  J = 1 - h(p_u * r(p_u)) is the
-    top layer r(p_u) -> 1/2, which every state up to p_u decodes (0 when
-    r(p_u) = 1/2).  R vanishes above p_u and plateaus below p_l.
-    """
+def _euler(layer: LayerProfile) -> tuple[np.ndarray, float, RateProfile]:
+    """-dR/dp = log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) on the profile's grid
+    (r' by central differences, 0 on one point); the top layer
+    J = 1 - h(p_u * r(p_u)) of r(p_u) -> 1/2, which every state up to p_u
+    decodes (0 when r(p_u) = 1/2); and R(p) = J + the trapezoid integral of -dR up to p_u."""
     g, r = layer.grid, layer.r
     x = np.clip(star(g, r), EPS, 1.0 - EPS)
-    integrand = np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * np.gradient(r, g)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(g))])
     top = 1.0 - binary_entropy(float(x[-1])) if r[-1] < 0.5 else 0.0
-    return RateProfile(grid=g, rates=np.maximum(cum[-1] - cum, 0.0) + top)
+    increments = np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * (np.gradient(r, g) if g.size > 1 else 0.0)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (increments[1:] + increments[:-1]) * np.diff(g))])
+    return increments, top, RateProfile(grid=g, rates=np.maximum(cum[-1] - cum, 0.0) + top)
+
+
+def rate_profile(layer: LayerProfile) -> RateProfile:
+    """R(p), integrated down from the worst state (_euler).  R vanishes
+    above p_u and plateaus below p_l."""
+    return _euler(layer)[2]
 
 
 def _expected_rate(density, prof: RateProfile) -> float:
@@ -625,28 +638,20 @@ def expected_capacity_continuous(density) -> float:
 
     Solves the layering, then evaluates
     C^e = integral F(p) log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp,
-    plus F(p_u) J for the top layer J = 1 - h(p_u * r(p_u)) (rate_profile),
+    plus F(p_u) J for the top layer J = 1 - h(p_u * r(p_u)) (_euler),
     cross-checked against the integration-by-parts form
     F(p_l) R(p_l) + integral f(p) R(p) dp; the two must agree to 1e-6.
-    A band of width zero is the top layer alone, with r(p_u) = 0:
-    C^e = F(p_u) (1 - h(p_u)).  A single-layer outage code and the
-    64-state right-edge ladder (discretize_density) are admissible
-    codes, and no code beats the mean state capacity, so C^e below
-    either code or above that bound (by 1e-9) means the solve failed:
-    the certificates raise SolverError.
+    On a band of width zero, the one-layer code, C^e = F(p_u) (1 - h(p_u)).
+    A single-layer outage code and the 64-state right-edge ladder
+    (discretize_density) are admissible codes, and no code beats the
+    mean state capacity, so C^e below either code or above that bound
+    (by 1e-9) means the solve failed: the certificates raise SolverError.
     """
-    band = find_cutoffs(density)
-    value, top = 0.0, 1.0 - binary_entropy(band.p_u)
-    if band.p_l < band.p_u:
-        layer = _layering(density, band, _PROFILE_POINTS)
-        prof = rate_profile(layer)
-        g, r = layer.grid, layer.r
-        x = np.clip(star(g, r), EPS, 1.0 - EPS)
-        weight = density.cdf(g) * np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * np.gradient(r, g)
-        value, top = float(np.trapezoid(weight, g)), float(prof.rates[-1])
-        if abs(value + density.cdf(band.p_u) * top - _expected_rate(density, prof)) > 1e-6:
-            raise SolverError("expected_capacity_continuous: integral forms disagree")
-    value += float(density.cdf(band.p_u)) * top
+    layer = _layering(density, find_cutoffs(density), _PROFILE_POINTS)
+    g, (increments, top, prof) = layer.grid, _euler(layer)
+    value = float(np.trapezoid(density.cdf(g) * increments, g)) + float(density.cdf(g[-1])) * top
+    if abs(value - _expected_rate(density, prof)) > 1e-6:
+        raise SolverError("expected_capacity_continuous: integral forms disagree")
     if value < best_outage_rate(density)[1] - 1e-9:
         raise SolverError("expected_capacity_continuous: below the best outage rate")
     if value > mean_state_capacity(density) + 1e-9:
@@ -681,17 +686,14 @@ def parametric_profile(band: CutoffPair, gamma: float) -> LayerProfile:
     """One-parameter layering r = ((p - p_l)/(p_u - p_l))^gamma / 2 on a band.
 
     find_cutoffs(density) gives the "optimal-cutoff" family and
-    FULL_RANGE the "full-range" one, r = (2p)^gamma / 2 exactly.
-    """
+    FULL_RANGE the "full-range" one, r = (2p)^gamma / 2 exactly; a band
+    of width zero, the one-layer code for every gamma (_on_band)."""
     # Written as "not (in range)" so that NaN fails the check.  An
     # infinite gamma is a step at the top of the band, which the
     # finite-difference rate profile cannot integrate.
     if not 0.0 < gamma < math.inf:
         raise ValueError("parametric_profile: gamma must be positive and finite")
-    if not band.p_l < band.p_u:
-        raise ValueError("parametric_profile: the band must have positive width")
-    grid = np.linspace(band.p_l, band.p_u, _PROFILE_POINTS)
-    return LayerProfile(grid=grid, r=0.5 * ((grid - band.p_l) / (band.p_u - band.p_l)) ** gamma)
+    return _on_band(band, _PROFILE_POINTS, lambda grid: 0.5 * ((grid - band.p_l) / (band.p_u - band.p_l)) ** gamma)
 
 
 def parametric_expected_rate(density, band: CutoffPair, gamma: float) -> float:

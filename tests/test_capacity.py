@@ -365,6 +365,10 @@ def _ergodic_ge(draw):
        alphas=st.lists(st.floats(-0.1, 1.1), max_size=6))
 def test_limit_spectrum_cdf_matches_masked_sum(comp, alphas):
     caps = comp.law.caps
+    # Shannon capacity is C_0; the per-law rule it replaced took the
+    # worst state of positive mass.
+    order = np.argsort(-comp.law.params) if comp.law.params is not None else [0]
+    assert shannon_capacity(comp) == caps[order][np.flatnonzero(comp.law.mass[order])[0]]
     grid = np.concatenate([alphas, np.linspace(0.0, 1.0, 11), caps, caps - 1e-15, caps + 1e-15])
     got = limit_spectrum_cdf(comp, grid)
     want = _masked_sum_limit_cdf(comp, grid)

@@ -364,6 +364,7 @@ def test_cli_key_inventory(tmp_path, capsys, run, family):
 
     def call(keys):
         cfg, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+        cfg.unlink(missing_ok=True)
         cfg.write_text("".join(f"{k}={values[k]}\n" for k in sorted(keys - {"out"})))
         out.unlink(missing_ok=True)
         status = main([sub, "--config", str(cfg), "--out", str(out)])
@@ -593,19 +594,29 @@ def _density_config(tmp_path, name, grid, f):
     return cfg
 
 
-def test_capacity_of_density_without_certified_layering_exits_2(tmp_path, capsys):
+def test_density_without_band_is_one_layer_in_every_command(tmp_path, capsys):
     # f ~ p^3 on [0, 0.2] has no cutoff band: one layer at the support
-    # edge, 1 - h(0.2), is its expected capacity.  A layer profile needs
-    # a band, so `broadcast` has none to print.
+    # edge, 1 - h(0.2), is its expected capacity.  `broadcast` used to
+    # exit 2 in both modes; it now prints that one-layer code.
     g = np.linspace(0.0, 0.2, 1025)
     cfg = _density_config(tmp_path, "cubic", g, g ** 3 / np.trapezoid(g ** 3, g))
+    one_layer = float(f"{bsc_capacity(0.2):.12g}")
+    assert one_layer == 0.278071905113
     assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 0
     _, data = _rows(capsys.readouterr().out)
-    assert np.all(data[:, 3] == float(f"{bsc_capacity(0.2):.12g}"))
-    assert main(["broadcast", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: solve_layering: the cutoff band has zero width")
+    assert np.all(data[:, 3] == one_layer)
+    assert main(["broadcast", "--config", str(cfg)]) == 0
+    header, data = _rows(capsys.readouterr().out)
+    below = data[:, 0] <= 0.2
+    assert header == ["p", "r", "rate"] and below.sum() == 103
+    assert np.all(data[below, 1:] == [0.0, one_layer]) and np.all(data[~below, 1:] == [0.5, 0.0])
+    with open(cfg, "a") as fh:
+        fh.write("mode=gamma\n")
+    assert main(["broadcast", "--config", str(cfg)]) == 0
+    header, data = _rows(capsys.readouterr().out)
+    assert header == ["gamma", "rate_optimal_cutoff", "rate_full_range", "expected_capacity"]
+    assert len(data) == 10 and np.all(data[:, [1, 3]] == one_layer)
+    assert np.all(data[:, 2] < one_layer)
 
 
 def test_capacity_of_smooth_bump(tmp_path, capsys):

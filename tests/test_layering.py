@@ -554,15 +554,22 @@ def test_top_layer_alone():
 
 @settings(max_examples=100, deadline=None)
 @given(knots=st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=3, max_size=15),
-       lo=st.floats(0.0, 0.1), hi=st.floats(0.25, 0.5))
-@example(*BELOW_LADDER)
-@example(*SPLIT_BAND)
-@example(*TOP_LAYER)
-def test_expected_capacity_sandwich_on_random_laws(knots, lo, hi):
+       lo=st.floats(0.0, 0.1), hi=st.floats(0.25, 0.5),
+       centre=st.floats(0.05, 0.3), sd=st.floats(0.005, 0.05))
+@example(*BELOW_LADDER, 0.1, 0.01)
+@example(*SPLIT_BAND, 0.1, 0.01)
+@example(*TOP_LAYER, 0.1, 0.01)
+def test_expected_capacity_sandwich_on_random_laws(knots, lo, hi, centre, sd):
     # Every solve lies between the right-edge (achievable) and left-edge
     # ladders.
     assume(max(knots) > 0.0)
     density = _piecewise_linear(knots, lo, hi)
+    # Shannon capacity is C_0; the per-law rule it replaced read the
+    # support edge.  A narrow Gaussian on [0, 1/2] has tail cells below
+    # an ulp of mass, where F rounds to 1 short of that edge.
+    g = np.linspace(0.0, 0.5, 1025)
+    for law in (density, _normalized(g, np.exp(-(((g - centre) / sd) ** 2)))):
+        assert shannon_capacity(law) == bsc_capacity(law.support_sup())
     ce = expected_capacity_continuous(density)
     assert optimize_discrete(*discretize_density(density, 64))[1] - 1e-9 <= ce
     assert ce <= _left_edge_ladder(density, 64) + 1e-9
@@ -572,15 +579,37 @@ def test_density_without_band_gets_one_layer():
     # f ~ p^3 on [0, 0.2]: neither residual crosses 0, so both cutoffs
     # sit at the support edge.  The band of width zero is one layer at
     # 0.2, which every state decodes: 1 - h(0.2), the best outage rate
-    # and the 4096-state ladder's value.
+    # and the 4096-state ladder's value.  The solved profile is that
+    # code, a one-point grid at 0.2 with r = 0.
     g = np.linspace(0.0, 0.2, 1025)
     cubic = _normalized(g, g ** 3)
     assert find_cutoffs(cubic) == CutoffPair(p_l=0.2, p_u=0.2)
     ce = expected_capacity_continuous(cubic)
     assert ce == bsc_capacity(0.2) == 0.2780719051126377
     assert ce == best_outage_rate(cubic)[1] == optimize_discrete(*discretize_density(cubic, 4096))[1]
-    with pytest.raises(ValueError, match="the cutoff band has zero width"):
-        solve_layering(cubic)
+    layer = solve_layering(cubic)
+    assert np.array_equal(layer.grid, [0.2]) and np.array_equal(layer.r, [0.0])
+    prof = rate_profile(layer)
+    assert np.array_equal(prof.grid, [0.2]) and np.array_equal(prof.rates, [ce])
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 6), w=st.floats(0.02, 0.2))
+def test_power_law_has_a_zero_width_band_and_one_layer(k, w):
+    # f ~ p^k on [0, w]: every route answers the band of width zero with
+    # the one-layer code at p_u.
+    g = np.linspace(0.0, w, 257)
+    law = _normalized(g, g ** k)
+    band = find_cutoffs(law)
+    assert band.p_l == band.p_u
+    ce = expected_capacity_continuous(law)
+    assert ce == float(law.cdf(band.p_u)) * bsc_capacity(band.p_u)
+    assert ce == best_outage_rate(law)[1]
+    ps = np.linspace(0.0, 0.5, 101)
+    rates = rate_profile(solve_layering(law)).rate_at(ps)
+    assert np.array_equal(rates, np.where(ps <= band.p_u, bsc_capacity(band.p_u), 0.0))
+    for gamma in (0.25, 1.0, 4.0):
+        assert parametric_expected_rate(law, band, gamma) == ce
 
 
 @pytest.mark.parametrize("channel", [
@@ -986,8 +1015,13 @@ def test_solver_certificates_raise_solver_error(monkeypatch):
     with pytest.raises(SolverError, match="first-order"):
         optimize_discrete([0.14, 0.86], [0.05, 0.3])
     monkeypatch.undo()
-    real = layering.rate_profile
-    monkeypatch.setattr(layering, "rate_profile", lambda lay: RateProfile(lay.grid, 2.0 * real(lay).rates))
+    real = layering._euler
+
+    def doubled_rates(lay):
+        increments, top, prof = real(lay)
+        return increments, top, RateProfile(lay.grid, 2.0 * prof.rates)
+
+    monkeypatch.setattr(layering, "_euler", doubled_rates)
     monkeypatch.setattr(layering, "_PROFILE_POINTS", 257)
     with pytest.raises(SolverError, match="integral forms disagree"):
         expected_capacity_continuous(UNIFORM)
@@ -1055,8 +1089,10 @@ def test_parametric_profile_families():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             parametric_profile(cut, bad)
-    with pytest.raises(ValueError, match="band must have positive width"):
-        parametric_profile(CutoffPair(0.2, 0.2), 1.0)
+    # A band of width zero is the one-layer code for every gamma.
+    for gamma in (0.25, 1.0, 4.0):
+        one = parametric_profile(CutoffPair(0.2, 0.2), gamma)
+        assert np.array_equal(one.grid, [0.2]) and np.array_equal(one.r, [0.0])
 
 
 def test_parametric_rates_below_optimum():
