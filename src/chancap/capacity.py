@@ -84,37 +84,23 @@ def shannon_capacity(composite) -> float:
     return float(_c_q(composite, np.zeros(1))[0])
 
 
-def _worst_first(law) -> tuple[np.ndarray, np.ndarray]:
-    """Atom capacities and masses, noisiest state first.
-
-    States sort by crossover or erasure probability: capacities computed
-    in floats can round out of order for parameters an ulp apart.  A law
-    with no frozen state is a single atom.
-    """
-    if law.params is None:
-        return law.caps, law.mass
-    order = np.argsort(-law.params)
-    return law.caps[order], law.mass[order]
-
-
 def _c_q(composite, q: np.ndarray) -> np.ndarray:
     """C_q = sup {alpha : F(alpha) <= q} for every q of an array in [0, 1).
 
-    Atoms: states leave worst-first, and an atom joins the outage set
-    only if its entire mass still fits under q (conservative convention
-    for ties at atoms), so the worst kept state is the first one whose
-    cumulative mass exceeds q.  A zero-mass state never is; when every
-    state fits (q within rounding of 1) the best supported state is
-    kept.  Continuous BSC family: C_q = 1 - h(p_q) with
-    p_q = inf {p : F(p) >= 1 - q}.
+    Atoms: states leave in the law's noisiest-first order, and an atom
+    joins the outage set only if its entire mass still fits under q
+    (conservative convention for ties at atoms), so the worst kept
+    state is the first one whose cumulative mass exceeds q.  A
+    zero-mass state never is; when every state fits (q within rounding
+    of 1) the best supported state is kept.  Continuous BSC family:
+    C_q = 1 - h(p_q) with p_q = inf {p : F(p) >= 1 - q}.
     """
     law = state_law(composite)
     if isinstance(law, ContinuousBscComposite):
         return bsc_capacity(law.inverse_cdf(1.0 - q))
-    caps, weights = _worst_first(law)
-    idx = np.searchsorted(np.cumsum(weights), q * (1.0 + _ATOM_RTOL), side="right")
-    idx = np.minimum(idx, np.nonzero(weights)[0][-1])
-    return caps[idx]
+    idx = np.searchsorted(law.worst_mass, q * (1.0 + _ATOM_RTOL), side="right")
+    idx = np.minimum(idx, np.flatnonzero(law.mass[law.worst])[-1])
+    return law.caps[law.worst[idx]]
 
 
 def limit_spectrum_cdf(composite, alphas: np.ndarray) -> np.ndarray:
@@ -169,7 +155,7 @@ def best_outage_rate(composite) -> tuple[float, float]:
             best_q, best_v = float(qs[k]), float(vals[k])
             qs = np.linspace(qs[max(k - 1, 0)], qs[min(k + 1, qs.size - 1)], _OUTAGE_SCAN_POINTS + 1)
         return best_q, best_v
-    masses = np.concatenate([[0.0], np.cumsum(_worst_first(law)[1])])
+    masses = np.concatenate([[0.0], law.worst_mass])
     candidates = masses[masses * (1.0 + _ATOM_RTOL) < 1.0]
     values = (1.0 - candidates) * _c_q(law, candidates)
     best_q, best_v = 0.0, -np.inf

@@ -115,17 +115,28 @@ class StateLaw:
     `family` is "bsc" or "bec", `params` holds each atom's crossover or
     erasure probability (None when no state is frozen, as for an
     ergodic Gilbert-Elliott channel), `mass` the atom probabilities and
-    `caps` each atom's capacity.  The arrays are read-only: a channel
-    builds its law once and every solver shares it.
+    `caps` each atom's capacity.  `worst` is the noisiest-first order,
+    argsort(-params) (capacities of parameters an ulp apart can round
+    out of order), or the identity without params, and `worst_mass` the
+    cumulative masses in it: C_q, C_0 and the best outage rate read
+    them.  The spectrum cdf, which searches the capacities, and the
+    layered optimizer, which takes ascending params, keep their own
+    sorts: their sums follow the order of tied atoms.  The arrays are
+    read-only: a channel builds its law once and every solver shares it.
     """
 
     family: str
     params: np.ndarray | None
     mass: np.ndarray
     caps: np.ndarray
+    worst: np.ndarray = field(init=False, repr=False, compare=False)
+    worst_mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.params, self.mass, self.caps):
+        worst = np.arange(self.mass.size) if self.params is None else np.argsort(-self.params)
+        object.__setattr__(self, "worst", worst)
+        object.__setattr__(self, "worst_mass", np.cumsum(self.mass[worst]))
+        for arr in (self.params, self.mass, self.caps, self.worst, self.worst_mass):
             if arr is not None:
                 arr.setflags(write=False)
 

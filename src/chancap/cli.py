@@ -114,15 +114,17 @@ def cmd_broadcast(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
 def cmd_simulate(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
     """Decoder sweeps: outage codes for BSC families, uncoded for BEC."""
     channel = build_channel(cfg.raw, base_dir)
-    if state_law(channel).family == "bec":
-        ns = cfg.ints("ns", "10000")
+    bec = state_law(channel).family == "bec"
+    ns = cfg.ints("ns", "10000" if bec else "8,12,16")
+    if len(ns) == 0:
+        raise ConfigError("simulate: need at least one blocklength")
+    if bec:
         rows = []
         for n in ns:
             res = simulate_uncoded_bec(channel, n=n, trials=cfg.trials, seed=cfg.seed)
             rows.append((n, res.trials, res.expected_rate, res.seed))
         header = ["n", "trials", "expected_rate", "seed"]
         return _render(cfg, header, rows), header
-    ns = cfg.ints("ns", "8,12,16")
     rate = float(cfg.raw.get("rate", "0.15"))
     q = float(cfg.raw.get("q", "0.5"))
     epsilon = float(cfg.raw.get("epsilon", "0.01"))

@@ -335,6 +335,35 @@ def test_outage_curve_matches_greedy_oracle(comp, qs):
     # Past every atom the best supported state is kept.
     best = law.params[law.pmf > 0.0].min()
     assert np.all(curve.c_q[~kept] == (bsc_capacity(best) if law.family == "bsc" else 1.0 - best))
+    # The law's noisiest-first order is the per-call sort it replaced.
+    state = comp.law
+    assert np.array_equal(state.worst, np.argsort(-state.params))
+    assert np.array_equal(state.worst_mass, np.cumsum(state.mass[state.worst]))
+    for arr in (state.worst, state.worst_mass):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert best_outage_rate(comp) == _sorting_best_outage_rate(state)
+
+
+def _sorting_best_outage_rate(law):
+    """best_outage_rate of a discrete law as it was before the law kept
+    its order: an argsort of -params, two gathers and a cumsum per call."""
+    order = np.argsort(-law.params)
+    caps, weights = law.caps[order], law.mass[order]
+    masses = np.concatenate([[0.0], np.cumsum(weights)])
+    candidates = masses[masses * (1.0 + 1e-12) < 1.0]
+    idx = np.searchsorted(np.cumsum(weights), candidates * (1.0 + 1e-12), side="right")
+    values = (1.0 - candidates) * caps[np.minimum(idx, np.nonzero(weights)[0][-1])]
+    best_q, best_v = 0.0, -np.inf
+    for qc, v in zip(candidates.tolist(), values.tolist()):
+        if v > best_v + 1e-15:
+            best_q, best_v = qc, v
+    return best_q, best_v
+
+
+def test_ergodic_law_is_one_atom_in_identity_order():
+    law = GilbertElliott(0.05, 0.3, g=0.2, b=0.1, pi_good=0.5).law
+    assert law.worst.tolist() == [0] and law.worst_mass.tolist() == [1.0]
 
 
 def _masked_sum_limit_cdf(channel, alphas):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import chancap
 from chancap import BroadcastCodeSpec, ContinuousBscComposite, binary_entropy, bsc_capacity, cli, layering
@@ -204,6 +206,18 @@ def test_simulate_outage_sweep(tmp_path, capsys):
     assert np.allclose(data[:, 5], data[:, 2] * (1.0 - data[:, 3]), atol=1e-12)
 
 
+@pytest.mark.parametrize("channel", ["family=bec\nerasures=0.1,0.3\n", "family=bsc\nstates=0.05,0.3\n"])
+@pytest.mark.parametrize("ns", ["", ","])
+def test_simulate_empty_blocklengths_exits_2(tmp_path, capsys, channel, ns):
+    # An empty ns on a BEC law used to print only the header and exit 0.
+    cfg, out = tmp_path / "sim.cfg", tmp_path / "out.csv"
+    cfg.write_text(f"{channel}pmf=0.5,0.5\nns={ns}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: simulate: need at least one blocklength\n"
+    assert not out.exists()
+
+
 def test_mapdemo_default(capsys):
     assert main(["mapdemo"]) == 0
     out = capsys.readouterr().out
@@ -375,6 +389,65 @@ def test_cli_key_inventory(tmp_path, capsys, run, family):
         if run == "spectrum" and key == "alpha_grid":
             continue  # alpha_grid replaces grid: its own run above
         assert call(reads | {key}) == (2, False, f"error: {sub} does not read {key}\n")
+
+
+# Edge values of each key, drawn besides its KEY_VALUES entry: empty
+# lists, a lone comma, zero masses, one-point grids, n = 1, trials = 1,
+# q = 0 and rate 0.
+EDGE_VALUES = {
+    "states": ["", ",", "0,0.5", "0.5"],
+    "pmf": ["", ",", "0,1", "1,0", "1"], "erasures": ["", ",", "0,1", "1,1"], "p_good": ["0"],
+    "p_bad": ["0.5"], "g": ["1"], "b": ["1"], "pi_good": ["0", "1"], "density_file": ["ramp.csv"],
+    "q_min": ["0.5"], "q_max": ["0.5", "0.99"], "grid": ["0", "1", "2"], "n": ["", ",", "1"],
+    "alpha_grid": ["", ",", "0", "1"], "trials": ["1"], "seed": ["0"],
+    "profile_grid": ["1", "2"], "gammas": ["", "0.5,4"], "ns": ["", ",", "1", "1,8"],
+    "rate": ["0"], "q": ["0"], "epsilon": ["1"], "num_states": ["1", "3"], "r_12": ["0"],
+}
+
+
+@st.composite
+def _cli_runs(draw):
+    """A subcommand and a config with edge values: every key of its
+    channel (and alpha_grid on the run it names), and a subset of the
+    other keys its run reads."""
+    run, family = draw(st.sampled_from(list(CLI_READS)))
+    values = {"family": family} if family else {}
+    if run.startswith("broadcast"):
+        values["mode"] = run.split()[-1]
+    always = (CHANNEL_READS[family] | ({"alpha_grid"} if "alpha_grid" in run else set())) - values.keys()
+    others = sorted(CLI_READS[run, family] - always - values.keys() - {"out"})
+    for key in sorted(always | draw(st.sets(st.sampled_from(others)))):
+        values[key] = draw(st.sampled_from([KEY_VALUES[key], *EDGE_VALUES[key]]))
+    return run.split()[0], values
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_cli_runs())
+@example(run=("simulate", {"family": "bec", "erasures": "0.1,0.3", "pmf": "0.5,0.5", "ns": ""}))
+def test_cli_contract_on_generated_configs(tmp_path, capsys, run):
+    """Every config answers with data rows free of NaN and inf, or exits 2
+    with one error line and no output file; nothing else."""
+    sub, values = run
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+    for path, text in ((tmp_path / "flat.csv", "".join(f"{p},2\n" for p in np.linspace(0.0, 0.5, 101).tolist())),
+                       # Zero on [0, 0.2], then a ramp that integrates to 1.
+                       (tmp_path / "ramp.csv", "".join(f"{p},{max(p - 0.2, 0.0) / 0.045!r}\n"
+                                                       for p in np.linspace(0.0, 0.5, 11).tolist())),
+                       (cfg, "".join(f"{k}={v}\n" for k, v in values.items()))):
+        path.unlink(missing_ok=True)
+        path.write_text(text)
+    out.unlink(missing_ok=True)
+    status = main([sub, "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if status == 2:
+        assert re.fullmatch(r"error: [^\n]*\n", captured.err)
+        assert not out.exists()
+        return
+    assert status == 0 and captured.err == ""
+    text = out.read_text()
+    assert len(text.splitlines()) > (1 if sub == "mapdemo" else 2)
+    assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE)
 
 
 def test_spectrum_empty_alpha_grid_exits_2(tmp_path, capsys):
