@@ -47,8 +47,8 @@ def _render(cfg: RunConfig, header, rows) -> str:
 def cmd_capacity(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
     """(q, C_q, (1-q) C_q, C^e, upper bound) over a q grid."""
     channel = build_channel(cfg.raw, base_dir)
-    q_min = float(cfg.raw.get("q_min", "0"))
-    q_max = float(cfg.raw.get("q_max", "0.99"))
+    q_min = cfg.scalar("q_min", "0", float)
+    q_max = cfg.scalar("q_max", "0.99", float)
     if not 0.0 <= q_min < q_max < 1.0:
         raise ConfigError("capacity: need 0 <= q_min < q_max < 1")
     qs = np.linspace(q_min, q_max, cfg.grid)
@@ -91,7 +91,7 @@ def cmd_broadcast(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
     if mode == "profile":
         prof = solve_layering(channel)
         rates = rate_profile(prof)
-        m = int(cfg.raw.get("profile_grid", "257"))
+        m = cfg.scalar("profile_grid", "257", int)
         if m < 2:
             raise ConfigError("broadcast: profile_grid must be >= 2")
         ps = np.linspace(0.0, 0.5, m)
@@ -125,9 +125,9 @@ def cmd_simulate(cfg: RunConfig, base_dir: Path) -> tuple[str, list[str]]:
             rows.append((n, res.trials, res.expected_rate, res.seed))
         header = ["n", "trials", "expected_rate", "seed"]
         return _render(cfg, header, rows), header
-    rate = float(cfg.raw.get("rate", "0.15"))
-    q = float(cfg.raw.get("q", "0.5"))
-    epsilon = float(cfg.raw.get("epsilon", "0.01"))
+    rate = cfg.scalar("rate", "0.15", float)
+    q = cfg.scalar("q", "0.5", float)
+    epsilon = cfg.scalar("epsilon", "0.01", float)
     results = simulate_outage_code_sweep(
         channel, ns, rate=rate, q=q, trials=cfg.trials, epsilon=epsilon, seed=cfg.seed
     )
@@ -168,7 +168,7 @@ def _mapdemo_rates(cfg: RunConfig, num_states: int) -> dict:
             if not 0 <= s < num_states:
                 raise ConfigError(f"mapdemo: key {key} names state {ch} outside 1..{num_states}")
             members.append(s)
-        rates[tuple(members)] = float(cfg.raw[key])
+        rates[tuple(members)] = cfg.scalar(key, "", float)
     if not rates:
         # Worked example: common rate 0.3 plus 0.2 private to state 2.
         rates = {(0, 1): 0.3, (1,): 0.2}
@@ -177,10 +177,10 @@ def _mapdemo_rates(cfg: RunConfig, num_states: int) -> dict:
 
 def cmd_mapdemo(cfg: RunConfig, base_dir: Path) -> tuple[str, None]:
     """Text dump of the broadcast <-> expected-rate index mapping."""
-    num_states = int(cfg.raw.get("num_states", "2"))
+    num_states = cfg.scalar("num_states", "2", int)
     if not 1 <= num_states <= 9:
         raise ConfigError("mapdemo: num_states must lie in 1..9 (single-digit labels)")
-    n = int(cfg.raw.get("n", "20"))
+    n = cfg.scalar("n", "20", int)
     if "pmf" in cfg.raw:
         pmf = np.asarray(cfg.floats("pmf", ""), dtype=float)
     else:

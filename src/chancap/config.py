@@ -51,13 +51,23 @@ def load_config(path) -> dict[str, str]:
     return parse_config_text(Path(path).read_text())
 
 
-def _numbers(value: str, kind: type) -> list:
-    """The nonblank comma-separated tokens of `value` as `kind` (float or int)."""
+def _number(key: str, value: str, kind: type):
+    """`value`, the value of `key`, as one `kind` (float or int)."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{key}: expected {noun}, got {value!r}") from exc
+
+
+def _numbers(key: str, value: str, kind: type) -> list:
+    """The nonblank comma-separated tokens of `value`, the value of `key`,
+    as `kind` (float or int)."""
     try:
         return [kind(tok) for tok in value.split(",") if tok.strip() != ""]
     except ValueError as exc:
         noun = "numbers" if kind is float else "integers"
-        raise ConfigError(f"expected comma-separated {noun}, got {value!r}") from exc
+        raise ConfigError(f"{key}: expected comma-separated {noun}, got {value!r}") from exc
 
 
 def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
@@ -76,23 +86,23 @@ def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
         if family == "bsc":
             if "states" not in cfg or "pmf" not in cfg:
                 raise ConfigError("family=bsc needs states= and pmf=")
-            states = tuple(BscState(p) for p in _numbers(cfg["states"], float))
-            return DiscreteComposite(states, np.asarray(_numbers(cfg["pmf"], float)))
+            states = tuple(BscState(p) for p in _numbers("states", cfg["states"], float))
+            return DiscreteComposite(states, np.asarray(_numbers("pmf", cfg["pmf"], float)))
         if family == "bec":
             if "erasures" not in cfg or "pmf" not in cfg:
                 raise ConfigError("family=bec needs erasures= and pmf=")
-            states = tuple(BecState(a) for a in _numbers(cfg["erasures"], float))
-            return DiscreteComposite(states, np.asarray(_numbers(cfg["pmf"], float)))
+            states = tuple(BecState(a) for a in _numbers("erasures", cfg["erasures"], float))
+            return DiscreteComposite(states, np.asarray(_numbers("pmf", cfg["pmf"], float)))
         if family == "ge":
             missing = [k for k in ("p_good", "p_bad") if k not in cfg]
             if missing:
                 raise ConfigError(f"family=ge needs {', '.join(missing)}")
             return GilbertElliott(
-                p_good=float(cfg["p_good"]),
-                p_bad=float(cfg["p_bad"]),
-                g=float(cfg.get("g", "0")),
-                b=float(cfg.get("b", "0")),
-                pi_good=float(cfg.get("pi_good", "0.5")),
+                p_good=_number("p_good", cfg["p_good"], float),
+                p_bad=_number("p_bad", cfg["p_bad"], float),
+                g=_number("g", cfg.get("g", "0"), float),
+                b=_number("b", cfg.get("b", "0"), float),
+                pi_good=_number("pi_good", cfg.get("pi_good", "0.5"), float),
             )
         if family == "density":
             if "density_file" not in cfg:
@@ -142,15 +152,21 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", "0"))
+        seed = self.scalar("seed", "0", int)
+        if seed < 0:
+            raise ConfigError(f"seed: expected a nonnegative integer, got {seed}")
+        return seed
 
     @property
     def trials(self) -> int:
-        return int(self.raw.get("trials", "10000"))
+        return self.scalar("trials", "10000", int)
 
     @property
     def grid(self) -> int:
-        return int(self.raw.get("grid", "101"))
+        grid = self.scalar("grid", "101", int)
+        if grid < 1:
+            raise ConfigError(f"grid: expected a positive integer, got {grid}")
+        return grid
 
     @property
     def out(self) -> str | None:
@@ -159,11 +175,15 @@ class RunConfig:
     def unread(self) -> list[str]:
         return sorted(self.raw.keys() - self.raw.read)
 
+    def scalar(self, key: str, default: str, kind: type):
+        """The value of `key`, else `default`, as one `kind` (float or int)."""
+        return _number(key, self.raw.get(key, default), kind)
+
     def floats(self, key: str, default: str) -> list[float]:
-        return _numbers(self.raw.get(key, default), float)
+        return _numbers(key, self.raw.get(key, default), float)
 
     def ints(self, key: str, default: str) -> list[int]:
-        return _numbers(self.raw.get(key, default), int)
+        return _numbers(key, self.raw.get(key, default), int)
 
     def canonical_string(self) -> str:
         """Sorted key=value rendering for the reproducibility comment.

@@ -568,17 +568,16 @@ def find_cutoffs(density) -> CutoffPair:
     return CutoffPair(p_l=min(p_l, p_u), p_u=p_u)
 
 
-def _on_band(band: CutoffPair, num: int, r_of) -> LayerProfile:
-    """The profile r_of(grid) on num points over the band.  On a band of
-    width zero one layer at p_u is the optimal layered code (Shamai and
-    Steiner, 2003): a one-point grid with r = 0."""
+def _on_band(band: CutoffPair, r_of) -> LayerProfile:
+    """r_of(grid) on _PROFILE_POINTS points over the band; a band of width
+    zero gets one layer at p_u (Shamai and Steiner, 2003), r = 0 at p_u."""
     if band.p_l == band.p_u:
         return LayerProfile(grid=np.array([band.p_u]), r=np.zeros(1))
-    grid = np.linspace(band.p_l, band.p_u, num)
+    grid = np.linspace(band.p_l, band.p_u, _PROFILE_POINTS)
     return LayerProfile(grid=grid, r=r_of(grid))
 
 
-def _layering(density, band: CutoffPair, num: int) -> LayerProfile:
+def _layering(density, band: CutoffPair) -> LayerProfile:
     """The optimal layer profile on a grid over the band [p_l, p_u].
 
     r(p_l) = 0, and every later grid point starts at its pointwise
@@ -597,13 +596,7 @@ def _layering(density, band: CutoffPair, num: int) -> LayerProfile:
             r = np.repeat(levels, np.diff(np.append(starts, r.size)))
         return np.concatenate([[0.0], r])
 
-    return _on_band(band, num, r_of)
-
-
-def solve_layering(density) -> LayerProfile:
-    """Solve the Euler equation on a grid over [p_l, p_u] (find_cutoffs);
-    a band of width zero gives the one-layer code (_on_band)."""
-    return _layering(density, find_cutoffs(density), _PROFILE_POINTS)
+    return _on_band(band, r_of)
 
 
 def _euler(layer: LayerProfile) -> tuple[np.ndarray, float, RateProfile]:
@@ -633,21 +626,16 @@ def _expected_rate(density, prof: RateProfile) -> float:
     return float(density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g))
 
 
-def expected_capacity_continuous(density) -> float:
-    """Expected capacity of the continuous-state BSC composite.
-
-    Solves the layering, then evaluates
-    C^e = integral F(p) log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp,
-    plus F(p_u) J for the top layer J = 1 - h(p_u * r(p_u)) (_euler),
-    cross-checked against the integration-by-parts form
-    F(p_l) R(p_l) + integral f(p) R(p) dp; the two must agree to 1e-6.
-    On a band of width zero, the one-layer code, C^e = F(p_u) (1 - h(p_u)).
-    A single-layer outage code and the 64-state right-edge ladder
-    (discretize_density) are admissible codes, and no code beats the
-    mean state capacity, so C^e below either code or above that bound
-    (by 1e-9) means the solve failed: the certificates raise SolverError.
-    """
-    layer = _layering(density, find_cutoffs(density), _PROFILE_POINTS)
+def _solve(density) -> tuple[LayerProfile, float]:
+    """The optimal layer profile over [p_l, p_u] (find_cutoffs) and its
+    C^e = integral F(p) log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp + F(p_u) J,
+    J = 1 - h(p_u * r(p_u)) the top layer (_euler).  Four certificates
+    raise SolverError: the integration-by-parts form F(p_l) R(p_l) +
+    integral f R agrees to 1e-6, and C^e lies (to 1e-9) above two
+    admissible codes, a single-layer outage code and the 64-state
+    right-edge ladder (discretize_density), and below the mean state
+    capacity, which no code beats."""
+    layer = _layering(density, find_cutoffs(density))
     g, (increments, top, prof) = layer.grid, _euler(layer)
     value = float(np.trapezoid(density.cdf(g) * increments, g)) + float(density.cdf(g[-1])) * top
     if abs(value - _expected_rate(density, prof)) > 1e-6:
@@ -658,7 +646,18 @@ def expected_capacity_continuous(density) -> float:
         raise SolverError("expected_capacity_continuous: above the mean state capacity")
     if value < optimize_discrete(*discretize_density(density, _CERTIFY_STATES))[1] - 1e-9:
         raise SolverError(f"expected_capacity_continuous: below the {_CERTIFY_STATES}-state ladder")
-    return value
+    return layer, value
+
+
+def solve_layering(density) -> LayerProfile:
+    """The optimal layer profile on [p_l, p_u], a one-layer code on a band
+    of width zero (_on_band); it passes the same four certificates as C^e."""
+    return _solve(density)[0]
+
+
+def expected_capacity_continuous(density) -> float:
+    """Expected capacity C^e of the continuous-state BSC composite (_solve)."""
+    return _solve(density)[1]
 
 
 def expected_capacity(channel) -> float:
@@ -693,7 +692,7 @@ def parametric_profile(band: CutoffPair, gamma: float) -> LayerProfile:
     # finite-difference rate profile cannot integrate.
     if not 0.0 < gamma < math.inf:
         raise ValueError("parametric_profile: gamma must be positive and finite")
-    return _on_band(band, _PROFILE_POINTS, lambda grid: 0.5 * ((grid - band.p_l) / (band.p_u - band.p_l)) ** gamma)
+    return _on_band(band, lambda grid: 0.5 * ((grid - band.p_l) / (band.p_u - band.p_l)) ** gamma)
 
 
 def parametric_expected_rate(density, band: CutoffPair, gamma: float) -> float:

@@ -391,13 +391,17 @@ def test_cli_key_inventory(tmp_path, capsys, run, family):
         assert call(reads | {key}) == (2, False, f"error: {sub} does not read {key}\n")
 
 
+# The wedge law f = (2/w)(1 - p/w) on 1025 knots of [0, w], w = 1e-6.
+WEDGE_CSV = "".join(f"{p!r},{2e6 * (1.0 - p / 1e-6)!r}\n" for p in np.linspace(0.0, 1e-6, 1025).tolist())
+
+
 # Edge values of each key, drawn besides its KEY_VALUES entry: empty
 # lists, a lone comma, zero masses, one-point grids, n = 1, trials = 1,
-# q = 0 and rate 0.
+# q = 0, rate 0, and density laws with zero knots or no certified C^e.
 EDGE_VALUES = {
     "states": ["", ",", "0,0.5", "0.5"],
     "pmf": ["", ",", "0,1", "1,0", "1"], "erasures": ["", ",", "0,1", "1,1"], "p_good": ["0"],
-    "p_bad": ["0.5"], "g": ["1"], "b": ["1"], "pi_good": ["0", "1"], "density_file": ["ramp.csv"],
+    "p_bad": ["0.5"], "g": ["1"], "b": ["1"], "pi_good": ["0", "1"], "density_file": ["ramp.csv", "wedge.csv"],
     "q_min": ["0.5"], "q_max": ["0.5", "0.99"], "grid": ["0", "1", "2"], "n": ["", ",", "1"],
     "alpha_grid": ["", ",", "0", "1"], "trials": ["1"], "seed": ["0"],
     "profile_grid": ["1", "2"], "gammas": ["", "0.5,4"], "ns": ["", ",", "1", "1,8"],
@@ -425,14 +429,17 @@ def _cli_runs(draw):
 @given(run=_cli_runs())
 @example(run=("simulate", {"family": "bec", "erasures": "0.1,0.3", "pmf": "0.5,0.5", "ns": ""}))
 def test_cli_contract_on_generated_configs(tmp_path, capsys, run):
-    """Every config answers with data rows free of NaN and inf, or exits 2
-    with one error line and no output file; nothing else."""
+    """Every config answers with data rows free of NaN and inf that keep
+    their subcommand's invariants, or exits 2 with one error line and no
+    output file; nothing else."""
     sub, values = run
     cfg, out = tmp_path / "run.cfg", tmp_path / "out.txt"
     for path, text in ((tmp_path / "flat.csv", "".join(f"{p},2\n" for p in np.linspace(0.0, 0.5, 101).tolist())),
                        # Zero on [0, 0.2], then a ramp that integrates to 1.
                        (tmp_path / "ramp.csv", "".join(f"{p},{max(p - 0.2, 0.0) / 0.045!r}\n"
                                                        for p in np.linspace(0.0, 0.5, 11).tolist())),
+                       # Every route exits 2 here: its C^e fails a certificate.
+                       (tmp_path / "wedge.csv", WEDGE_CSV),
                        (cfg, "".join(f"{k}={v}\n" for k, v in values.items()))):
         path.unlink(missing_ok=True)
         path.write_text(text)
@@ -448,18 +455,111 @@ def test_cli_contract_on_generated_configs(tmp_path, capsys, run):
     text = out.read_text()
     assert len(text.splitlines()) > (1 if sub == "mapdemo" else 2)
     assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE)
+    if sub != "mapdemo":
+        _check_invariants(sub, *_rows(text))
+
+
+def _check_invariants(sub, header, data, tol=1e-9):
+    """Each subcommand's invariants on its printed table, within tol."""
+    col = dict(zip(header, data.T))
+
+    def nondecreasing(v):
+        return bool(np.all(np.diff(v) >= -tol))
+
+    def in_unit(v):
+        return bool(np.all((v >= -tol) & (v <= 1.0 + tol)))
+
+    if sub == "capacity":
+        assert nondecreasing(col["q"]) and nondecreasing(col["c_q"])
+        assert np.all(col["outage_capacity"] <= col["expected_capacity"] + tol)
+        assert np.all(col["expected_capacity"] <= col["upper_bound"] + tol)
+    elif sub == "spectrum":
+        # alpha_grid may list its points in any order.
+        order = np.argsort(col["alpha"], kind="stable")
+        for name in header[1:]:
+            assert in_unit(col[name]) and nondecreasing(col[name][order]), name
+    elif sub == "simulate":
+        for name in ("outage_rate", "error_rate_given_no_outage", "expected_rate"):
+            assert name not in col or in_unit(col[name]), name
+    elif header == ["p", "r", "rate"]:
+        assert nondecreasing(col["r"]) and np.all((col["r"] >= 0.0) & (col["r"] <= 0.5))
+        assert nondecreasing(-col["rate"]) and np.all(col["rate"] <= 1.0 + tol)
 
 
 def test_spectrum_empty_alpha_grid_exits_2(tmp_path, capsys):
-    # --grid 0 used to exit 0 with only the header; an empty alpha_grid=
-    # gives the same error.
+    # An empty alpha_grid= used to exit 0 with only the header, as --grid 0
+    # did (test_grid_below_one_exits_2).
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("alpha_grid=\n")
-    for argv in (["spectrum", "--grid", "0"], ["spectrum", "--config", str(cfg)]):
-        assert main([*argv, "--trials", "10"]) == 2
+    assert main(["spectrum", "--config", str(cfg), "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spectrum: the alpha grid must be nonempty\n"
+
+
+@pytest.mark.parametrize("sub", ["capacity", "spectrum"])
+@pytest.mark.parametrize("grid", [0, -3])
+def test_grid_below_one_exits_2(tmp_path, capsys, sub, grid):
+    # --grid 0 used to fail inside outage_curve (capacity) and --grid -3
+    # inside numpy's linspace.
+    out = tmp_path / "out.csv"
+    assert main([sub, "--grid", str(grid), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: grid: expected a positive integer, got {grid}\n"
+    assert not out.exists()
+
+
+# A run that reads each key holding one number.
+SCALAR_KEY_RUNS = {
+    **dict.fromkeys(("p_good", "p_bad", "g", "b", "pi_good"), ("capacity", "ge")),
+    **dict.fromkeys(("q_min", "q_max", "grid"), ("capacity", "uniform")),
+    **dict.fromkeys(("trials", "seed"), ("spectrum", "uniform")),
+    "profile_grid": ("broadcast profile", "uniform"),
+    **dict.fromkeys(("rate", "q", "epsilon"), ("simulate", "bsc")),
+    **dict.fromkeys(("num_states", "n", "r_12"), ("mapdemo", None)),
+}
+INTEGER_KEYS = {"grid", "trials", "seed", "profile_grid", "num_states", "n"}
+
+
+@pytest.mark.parametrize("key", sorted(SCALAR_KEY_RUNS))
+def test_malformed_number_names_its_key(tmp_path, capsys, key):
+    # Each used to surface Python's own message, which names no key:
+    # "could not convert string to float: 'abc'" or "invalid literal for int()".
+    run, family = SCALAR_KEY_RUNS[key]
+    values = {**KEY_VALUES, "family": family or "uniform", "mode": run.split()[-1], key: "abc"}
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+    cfg.write_text("".join(f"{k}={values[k]}\n" for k in sorted(CLI_READS[run, family] - {"out"})))
+    assert main([run.split()[0], "--config", str(cfg), "--out", str(out)]) == 2
+    noun = "an integer" if key in INTEGER_KEYS else "a number"
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {key}: expected {noun}, got 'abc'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "simulate"])
+def test_negative_seed_exits_2(capsys, sub):
+    # numpy used to reject it with "expected non-negative integer".
+    assert main([sub, "--seed", "-1", "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seed: expected a nonnegative integer, got -1\n"
+
+
+def test_uncertified_law_exits_2_on_every_route(tmp_path, capsys):
+    # The wedge f = (2/w)(1 - p/w) on [0, 1e-6]: the trapezoid C^e lies
+    # above the mean state capacity.  `broadcast` used to skip the
+    # certificates and print R(0) = 1.68082675737 bits/use.
+    wedge = tmp_path / "wedge.csv"
+    wedge.write_text(WEDGE_CSV)
+    with pytest.raises(layering.SolverError, match="above the mean state capacity"):
+        layering.solve_layering(ContinuousBscComposite(*np.loadtxt(wedge, delimiter=",").T))
+    cfg, out = tmp_path / "wedge.cfg", tmp_path / "out.csv"
+    for sub, mode in (("capacity", ""), ("broadcast", ""), ("broadcast", "mode=gamma\n")):
+        cfg.write_text(f"family=density\ndensity_file={wedge}\n{mode}")
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: spectrum: the alpha grid must be nonempty\n"
+        assert captured.err == "error: expected_capacity_continuous: above the mean state capacity\n"
+        assert not out.exists()
 
 
 def test_memory_error_exits_2(capsys, monkeypatch):
