@@ -123,6 +123,8 @@ class StateLaw:
     layered optimizer, which takes ascending params, keep their own
     sorts: their sums follow the order of tied atoms.  The arrays are
     read-only: a channel builds its law once and every solver shares it.
+    `sample` and `split` are the one place that draws atoms: every Monte
+    Carlo stage draws its states through them.
     """
 
     family: str
@@ -139,6 +141,23 @@ class StateLaw:
         for arr in (self.params, self.mass, self.caps, self.worst, self.worst_mass):
             if arr is not None:
                 arr.setflags(write=False)
+
+    def _frozen_params(self) -> np.ndarray:
+        if self.params is None:
+            raise ValueError("ergodic Gilbert-Elliott has no frozen state to draw")
+        return self.params
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        """The parameters of `size` states drawn i.i.d. from the law."""
+        return self._frozen_params()[rng.choice(self.mass.size, size=size, p=self.mass)]
+
+    def split(self, rng, trials: int) -> list[tuple[int, int]]:
+        """One Multinomial(trials, mass) draw over the states of positive
+        mass: (state index, count) of each state drawn at least once."""
+        self._frozen_params()
+        support = np.flatnonzero(self.mass > 0.0)
+        counts = rng.multinomial(trials, self.mass[support])
+        return [(s, k) for s, k in zip(support.tolist(), counts.tolist()) if k > 0]
 
 
 @dataclass(frozen=True)
@@ -371,13 +390,8 @@ def sample_state(composite, seed):
     state distribution: the paper's composite channel picks S at time
     zero and holds it for the whole block, and the receiver learns it."""
     law = state_law(composite)
-    rng = np.random.default_rng(seed)
-    if isinstance(law, ContinuousBscComposite):
-        return BscState(float(law.sample(rng, 1)[0]))
-    if law.params is None:
-        raise ValueError("sample_state: ergodic Gilbert-Elliott has no frozen state to draw")
-    idx = int(rng.choice(law.mass.size, p=law.mass))
-    return (BscState if law.family == "bsc" else BecState)(float(law.params[idx]))
+    param = float(law.sample(np.random.default_rng(seed), 1)[0])
+    return (BscState if law.family == "bsc" else BecState)(param)
 
 
 def _entropy_inverse(t: np.ndarray) -> np.ndarray:

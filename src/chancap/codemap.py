@@ -22,6 +22,13 @@ import numpy as np
 # integral (guards n * (m/n) round-trips).
 _INT_TOL = 1e-9
 
+# Most bits of I_t that bc_to_expected lays out.  Each bit is an int in
+# I_t, in its block and in every I_s that holds it, so the sets grow
+# with n R_t: at 2^16 bits mapdemo peaks near 56 MB max RSS with two
+# states and 92 MB with nine, and at n = 10^12 with its default rates
+# it would need terabytes.
+_MAX_BITS = 2**16
+
 
 def canonical_subsets(subsets) -> list[tuple[int, ...]]:
     """Fixed concatenation order: cardinality descending, then lexicographic.
@@ -121,16 +128,21 @@ def bc_to_expected(spec: BroadcastCodeSpec, pmf) -> ExpectedRateCodeSpec:
     w = np.asarray(pmf, dtype=float)
     if w.shape != (spec.num_states,):
         raise ValueError("bc_to_expected: pmf length must match the state count")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
+    # Written as "not (in range)" so that NaN fails the check.
+    if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-9):
         raise ValueError("bc_to_expected: pmf must be a probability vector")
 
     order = canonical_subsets(spec.rates.keys())
+    try:
+        sizes = [math.floor(spec.n * spec.rates[subset] + _INT_TOL) for subset in order]
+    except OverflowError:  # n R_p is infinite, or n is past float range
+        sizes = [math.inf]
+    if sum(sizes) > _MAX_BITS:
+        raise ValueError(f"bc_to_expected: the floor(n R_p) must total at most {_MAX_BITS} bits")
     blocks = {}
     start = 1
     deficit = 0.0
-    for subset in order:
-        nominal = spec.n * spec.rates[subset]
-        m = int(math.floor(nominal + _INT_TOL))
+    for subset, m in zip(order, sizes):
         deficit += spec.rates[subset] - m / spec.n
         blocks[subset] = frozenset(range(start, start + m))
         start += m

@@ -115,10 +115,11 @@ def build_channel(cfg: dict[str, str], base_dir: Path | None = None):
                 for lineno, row in enumerate(csv.reader(fh), start=1):
                     if not row or row[0].lstrip().startswith("#"):
                         continue
-                    if len(row) < 2:
-                        raise ConfigError(f"{path} row {lineno}: expected p,f(p), got {','.join(row)!r}")
-                    grid.append(float(row[0]))
-                    dens.append(float(row[1]))
+                    try:
+                        grid.append(float(row[0]))
+                        dens.append(float(row[1]))
+                    except (IndexError, ValueError):
+                        raise ConfigError(f"{path} row {lineno}: expected p,f(p), got {','.join(row)!r}") from None
             return ContinuousBscComposite(np.asarray(grid), np.asarray(dens))
     except ConfigError:
         raise

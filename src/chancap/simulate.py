@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import capacity_vs_outage
-from .channels import ContinuousBscComposite, state_law
+from .channels import state_law
 
 # Codebook size guards: floor(2^{nR}) codewords of n bits, and at most
 # _MAX_DRAW bytes of a sweep's uint64 codebook words at one n.
@@ -121,16 +121,6 @@ def _distances(books: np.ndarray, y: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _draw_crossovers(law, rng, size: int) -> np.ndarray:
-    if isinstance(law, ContinuousBscComposite):
-        return law.sample(rng, size)
-    if law.params is None:
-        raise ValueError("simulate: ergodic Gilbert-Elliott has no frozen state to draw")
-    if law.family != "bsc":
-        raise ValueError("simulate: outage-code simulation covers BSC families")
-    return law.params[rng.choice(law.mass.size, size=size, p=law.mass)]
-
-
 def simulate_outage_code_sweep(
     composite,
     ns,
@@ -172,6 +162,8 @@ def simulate_outage_code_sweep(
 
     threshold = capacity_vs_outage(composite, q) - epsilon
     law = state_law(composite)
+    if law.family != "bsc":
+        raise ValueError("simulate: outage-code simulation covers BSC families")
     # Generators by fixed index: the states, the noise uniforms, then the
     # codebooks and the sent indices of each entry of ns.
     seqs = np.random.SeedSequence(seed).spawn(2 + 2 * len(ns))
@@ -184,7 +176,7 @@ def simulate_outage_code_sweep(
     counts = [{"outage": 0, "error": 0, "ml_error": 0, "violations": 0} for _ in ns]
     for start in range(0, trials, chunk):
         size = min(chunk, trials - start)
-        ps = _draw_crossovers(law, state_rng, size)
+        ps = law.sample(state_rng, size)
         # Packed once at n_max; each n decodes the first n bits.
         noise = _pack_bits(noise_rng.random((size, n_max)) < ps[:, None])
         pc = np.clip(ps, 1e-300, 1.0 - 1e-16)
@@ -289,15 +281,12 @@ def simulate_uncoded_bec(composite, n: int, trials: int, seed: int = 0) -> SimRe
     n = int(n)  # a numpy integer would wrap in n * k
 
     rng = np.random.default_rng(seed)
-    support = np.flatnonzero(law.mass > 0.0)
     rate_sum = 0.0
     per_state = {}
-    for state, size in zip(support, rng.multinomial(trials, law.mass[support])):
-        if size > 0:
-            k = int(size)
-            state_sum = (n * k - _erasure_total(rng, n, k, float(law.params[state]))) / n
-            rate_sum += state_sum
-            per_state[int(state)] = state_sum / k
+    for state, k in law.split(rng, trials):
+        state_sum = (n * k - _erasure_total(rng, n, k, float(law.params[state]))) / n
+        rate_sum += state_sum
+        per_state[state] = state_sum / k
     return SimResult(
         trials=trials,
         blocklength=n,

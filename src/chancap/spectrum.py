@@ -226,16 +226,11 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
         p = law.sample(rng, trials)
         values = np.sort(info_density_bsc(rng.binomial(n, p), n, p))
         return EmpiricalCdf(values, np.arange(1, trials + 1), blocklength=n, trials=trials)
-    if law.params is None:
-        raise ValueError("estimate_spectrum: ergodic Gilbert-Elliott has no frozen-state spectrum")
-
     params = law.params
-    support = np.flatnonzero(law.mass > 0.0)
     cells = []
-    for state, size in zip(support, rng.multinomial(trials, law.mass[support])):
-        if size > 0:
-            count, mult = _count_histogram(rng, n, float(params[state]), int(size))
-            cells.append((np.full(count.size, state), count, mult))
+    for state, size in law.split(rng, trials):
+        count, mult = _count_histogram(rng, n, float(params[state]), size)
+        cells.append((np.full(count.size, state), count, mult))
     cell_state, cell_count, mult = (np.concatenate(c) for c in zip(*cells))
     density = info_density_bec if law.family == "bec" else info_density_bsc
     v = density(cell_count, n, params[cell_state])

@@ -21,8 +21,10 @@ from chancap import (
     bec_capacity,
     binary_entropy,
     bsc_capacity,
+    estimate_spectrum,
     sample_state,
     shannon_capacity,
+    simulate_outage_code_sweep,
     star,
     transmit,
 )
@@ -371,3 +373,40 @@ def test_sample_state_rejects_ergodic_gilbert_elliott():
         sample_state(ergodic, seed=0)
     frozen = GilbertElliott(0.05, 0.3, g=0.0, b=0.0, pi_good=0.5)
     assert sample_state(frozen, seed=0) in (BscState(0.05), BscState(0.3))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda ch: sample_state(ch, seed=0),
+        lambda ch: estimate_spectrum(ch, n=10, trials=10, seed=0),
+        lambda ch: simulate_outage_code_sweep(ch, [8], rate=0.1, q=0.5, trials=10),
+    ],
+    ids=["sample_state", "estimate_spectrum", "simulate_outage_code_sweep"],
+)
+def test_every_state_draw_refuses_an_ergodic_law_alike(draw):
+    ergodic = GilbertElliott(0.05, 0.3, g=0.2, b=0.1, pi_good=0.5)
+    with pytest.raises(ValueError) as exc:
+        draw(ergodic)
+    assert str(exc.value) == "ergodic Gilbert-Elliott has no frozen state to draw"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.5, 1.0, 3.0]), min_size=1, max_size=8).filter(any),
+    trials=st.integers(1, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_is_one_multinomial_over_the_states_of_positive_mass(weights, trials, seed):
+    pmf = np.array(weights) / sum(weights)
+    law = DiscreteComposite(tuple(BecState(0.1 * i) for i in range(len(pmf))), pmf).law
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    split = law.split(rng, trials)
+    assert all(law.mass[s] > 0.0 and k > 0 for s, k in split)
+    assert sum(k for _, k in split) == trials
+    # The same draw as one multinomial over the positive masses, which
+    # leaves the generator at the same point.
+    support = np.flatnonzero(law.mass > 0.0)
+    drawn = ref.multinomial(trials, law.mass[support])
+    assert split == [(int(s), int(k)) for s, k in zip(support, drawn) if k > 0]
+    assert rng.random() == ref.random()

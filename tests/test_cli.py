@@ -238,6 +238,31 @@ def test_mapdemo_round_trip_failure_exits_2(capsys, monkeypatch):
     assert captured.err.startswith("error: mapdemo: round-trip")
 
 
+@pytest.mark.parametrize("line, err", [
+    # NaN used to pass the pmf check and print "expected rate = nan".
+    ("pmf=nan,1", "bc_to_expected: pmf must be a probability vector"),
+    # An infinite n R_p used to end in an OverflowError traceback.
+    ("r_1=1e308", "bc_to_expected: the floor(n R_p) must total at most 65536 bits"),
+], ids=["nan_pmf", "infinite_rate"])
+def test_mapdemo_bad_pmf_or_rate_exits_2(tmp_path, capsys, line, err):
+    cfg, out = tmp_path / "md.cfg", tmp_path / "out.txt"
+    cfg.write_text(line + "\n")
+    assert main(["mapdemo", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "simulate"])
+def test_ergodic_gilbert_elliott_draw_exits_2(tmp_path, capsys, sub):
+    cfg, out = tmp_path / "ge.cfg", tmp_path / "out.csv"
+    cfg.write_text("family=ge\np_good=0.05\np_bad=0.3\ng=0.2\nb=0.1\n")
+    assert main([sub, "--config", str(cfg), "--out", str(out), "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: ergodic Gilbert-Elliott has no frozen state to draw\n"
+    assert not out.exists()
+
+
 def test_mapdemo_custom(tmp_path, capsys):
     cfg = tmp_path / "md.cfg"
     cfg.write_text("num_states=3\nn=8\npmf=0.2,0.3,0.5\nr_123=0.25\nr_3=0.125\n")
@@ -400,12 +425,12 @@ WEDGE_CSV = "".join(f"{p!r},{2e6 * (1.0 - p / 1e-6)!r}\n" for p in np.linspace(0
 # q = 0, rate 0, and density laws with zero knots or no certified C^e.
 EDGE_VALUES = {
     "states": ["", ",", "0,0.5", "0.5"],
-    "pmf": ["", ",", "0,1", "1,0", "1"], "erasures": ["", ",", "0,1", "1,1"], "p_good": ["0"],
+    "pmf": ["", ",", "0,1", "1,0", "1", "nan,1"], "erasures": ["", ",", "0,1", "1,1"], "p_good": ["0"],
     "p_bad": ["0.5"], "g": ["1"], "b": ["1"], "pi_good": ["0", "1"], "density_file": ["ramp.csv", "wedge.csv"],
     "q_min": ["0.5"], "q_max": ["0.5", "0.99"], "grid": ["0", "1", "2"], "n": ["", ",", "1"],
     "alpha_grid": ["", ",", "0", "1"], "trials": ["1"], "seed": ["0"],
     "profile_grid": ["1", "2"], "gammas": ["", "0.5,4"], "ns": ["", ",", "1", "1,8"],
-    "rate": ["0"], "q": ["0"], "epsilon": ["1"], "num_states": ["1", "3"], "r_12": ["0"],
+    "rate": ["0"], "q": ["0"], "epsilon": ["1"], "num_states": ["1", "3"], "r_12": ["0", "1e308"],
 }
 
 
@@ -744,6 +769,16 @@ def test_density_file_with_one_column_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
     assert "row 2" in captured.err
+
+
+def test_density_file_with_a_non_number_names_the_row(tmp_path, capsys):
+    dens = tmp_path / "dens.csv"
+    dens.write_text("0.0,2.0\n0.25,abc\n0.5,2.0\n")
+    cfg = tmp_path / "dens.cfg"
+    cfg.write_text(f"family=density\ndensity_file={dens}\n")
+    assert main(["capacity", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {dens} row 2: expected p,f(p), got '0.25,abc'\n"
 
 
 def test_constant_density_file_is_the_uniform_law(tmp_path, capsys):

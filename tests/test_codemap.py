@@ -232,3 +232,12 @@ def test_round_trip_and_identity_random(case):
     back = expected_to_bc(code)
     nonzero = {p: r for p, r in spec.rates.items() if r > 0.0}
     assert back.rates == nonzero
+
+
+def test_bc_to_expected_bit_budget():
+    # 2^16 bits are laid out; past that, or at an n R_p beyond float
+    # range, the code is refused before any index set is built.
+    assert len(bc_to_expected(BroadcastCodeSpec(1, {(0,): 1.0}, 2**16), [1.0]).index_sets.i_t) == 2**16
+    for n, rates in ((2**16 + 1, {(0,): 1.0}), (10**12, {(0, 1): 0.3, (1,): 0.2}), (20, {(0,): 1e308})):
+        with pytest.raises(ValueError, match="must total at most 65536 bits"):
+            bc_to_expected(BroadcastCodeSpec(2, rates, n), [0.5, 0.5])

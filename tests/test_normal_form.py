@@ -18,6 +18,7 @@ import chancap
 SRC = Path(chancap.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
 LAW_OWNERS = {"channels.py", "config.py"}
+LAW_CLASSES = {"StateLaw", "ContinuousBscComposite", "DiscreteComposite", "GilbertElliott"}
 
 # Public names no library module or benchmark uses, kept because each is
 # a quantity or operation of the paper.
@@ -71,6 +72,22 @@ def test_no_isinstance_ladder_on_channel_classes_outside_channels():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
                 named = set(_names(node.args[1]))
                 assert not named & {"DiscreteComposite", "GilbertElliott"}, (name, node.lineno)
+
+
+def test_states_are_drawn_only_through_the_state_law():
+    # StateLaw.sample and StateLaw.split are the one place that draws
+    # atoms from their masses, and the decoder sweep draws through them
+    # without knowing which law it holds.
+    for name, tree in _modules():
+        if name == "channels.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("choice", "multinomial"):
+                read = {n for arg in (*node.args, *node.keywords) for n in _names(arg)}
+                assert "mass" not in read, (name, node.lineno)
+    tree = dict(_modules())["simulate.py"]
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not (set(_names(tree)) | imported) & LAW_CLASSES
 
 
 def test_every_public_name_has_a_caller():

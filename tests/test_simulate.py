@@ -19,7 +19,7 @@ from chancap import (
 )
 from chancap import simulate
 from chancap.capacity import capacity_vs_outage
-from chancap.channels import state_law
+from chancap.channels import StateLaw, state_law
 from chancap.simulate import _distances, _draw_codebooks, _pack_bits
 
 NOISELESS = DiscreteComposite((BscState(0.0),), [1.0])
@@ -340,10 +340,10 @@ def test_chunks_stay_under_the_byte_budget():
     # _CHUNK_BYTES; the sizes are read off the state draws, one per chunk.
     def chunk_sizes(ns, rate, trials):
         sizes = []
-        draw = simulate._draw_crossovers
+        draw = StateLaw.sample
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_CHUNK_BYTES", 2**12)
-            mp.setattr(simulate, "_draw_crossovers", lambda law, rng, size: sizes.append(size) or draw(law, rng, size))
+            mp.setattr(StateLaw, "sample", lambda law, rng, size: sizes.append(size) or draw(law, rng, size))
             simulate_outage_code_sweep(GE_FROZEN, ns, rate=rate, q=0.5, trials=trials, seed=0)
         return sizes
 
