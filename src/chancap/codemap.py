@@ -134,7 +134,8 @@ def bc_to_expected(spec: BroadcastCodeSpec, pmf) -> ExpectedRateCodeSpec:
 
     order = canonical_subsets(spec.rates.keys())
     try:
-        sizes = [math.floor(spec.n * spec.rates[subset] + _INT_TOL) for subset in order]
+        # R_p = 0 is a 0-bit block at any n, even one past float range.
+        sizes = [math.floor(spec.n * r + _INT_TOL) if r else 0 for r in map(spec.rates.get, order)]
     except OverflowError:  # n R_p is infinite, or n is past float range
         sizes = [math.inf]
     if sum(sizes) > _MAX_BITS:

@@ -11,7 +11,9 @@ cells, is the estimated information spectrum F(alpha).
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,18 +197,46 @@ def _count_histogram(rng, n: int, p: float, k: int) -> tuple[np.ndarray, np.ndar
     return order[hit], hist[hit]
 
 
+# Trials per block of a density law's draws.  The blocks fix the random
+# stream: block 0 draws from the seed's generator and block j >= 1 from
+# its spawned child j - 1, so changing this constant changes the draws.
+_BLOCK = 2**14
+
+
+@functools.cache
+def _pool():
+    """The helper threads of this process, one per core beside the
+    calling thread, built on first use.
+
+    numpy releases the GIL inside `binomial`, which is most of a
+    density block's time, so the blocks draw on all cores at once.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1))
+
+
 def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     """Monte Carlo estimate of the information spectrum at blocklength n.
 
     Each trial draws a state, then the closed-form sufficient statistic
     (Hamming distance or erasure count) as a Binomial(n, .) variable,
-    and maps it through the per-block density.  All draws come from one
-    generator seeded with `seed`, and the cells are sorted by value.
-    For a density each draw is a cell of count 1.
+    and maps it through the per-block density.  The cells are sorted
+    by value.
 
-    For a discrete law the per-state trial counts are drawn first, as
-    one Multinomial(trials, pmf) vector over the states of positive
-    mass.  A draw's value depends only on its (state, count) cell, so
+    For a density each draw is a cell of count 1.  The trials are drawn
+    in blocks of _BLOCK = 2^14: block 0 from the generator seeded with
+    `seed`, block j >= 1 from its spawned child j - 1, each its
+    crossovers and then its counts.  Past one block the calling thread
+    and the helper threads share the blocks, each writing into its own
+    slice of one array.  So the output does not depend on the core
+    count, and trials <= 2^14 are one stream, the same bytes as a
+    single-generator draw.
+
+    A discrete law draws everything from the generator seeded with
+    `seed`.  Its per-state trial counts are drawn first, as one
+    Multinomial(trials, pmf) vector over the states of positive mass.
+    A draw's value depends only on its (state, count) cell, so
     only each state's histogram of counts is drawn: one
     Multinomial(k, Binomial(n, p) pmf) vector when the state's k draws
     are at least the n + 1 counts and 0 < p < 1, else k scalar-p
@@ -223,8 +253,26 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     law = state_law(composite)
     rng = np.random.default_rng(seed)
     if isinstance(law, ContinuousBscComposite):
-        p = law.sample(rng, trials)
-        values = np.sort(info_density_bsc(rng.binomial(n, p), n, p))
+        values = np.empty(trials)
+        starts = range(0, trials, _BLOCK)
+        blocks = zip(starts, [rng, *rng.spawn(len(starts) - 1)])
+
+        def drain() -> None:
+            # The calling thread and the helpers take blocks from one
+            # shared iterator until it runs out.
+            for start, gen in blocks:
+                out = values[start:start + _BLOCK]
+                p = law.sample(gen, out.size)
+                out[:] = info_density_bsc(gen.binomial(n, p), n, p)
+
+        helpers = [_pool().submit(drain) for _ in starts[1:]]
+        try:
+            drain()
+        finally:
+            # No helper outlives the call, and a helper's error is raised.
+            for helper in helpers:
+                helper.result()
+        values.sort()
         return EmpiricalCdf(values, np.arange(1, trials + 1), blocklength=n, trials=trials)
     params = law.params
     cells = []

@@ -28,6 +28,7 @@ from chancap import (
     star,
     transmit,
 )
+from chancap.channels import _entropy_bits, _entropy_inverse
 
 probs = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 
@@ -104,17 +105,55 @@ def test_binary_entropy_scalar_returns_float():
     assert isinstance(binary_entropy([0.3]), np.ndarray)
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded in a fresh interpreter after `code`."""
+def _bisection_entropy_inverse(t):
+    """The oracle: 66 halvings of [0, 1/2] for all t at once, keeping
+    each midpoint whose computed h is at most t (p within 1e-20)."""
+    p, half = np.zeros(t.shape), 0.5
+    for _ in range(66):
+        half *= 0.5
+        mid = p + half
+        np.copyto(p, mid, where=_entropy_bits(mid) <= t)
+    return p
+
+
+def test_entropy_inverse_matches_bisection():
+    # Near t = 1 the root is ill-conditioned: dp/dt = 1/h'(p), and both
+    # methods find a root of the computed h, which is fixed only to
+    # about 1e-16 in t.  At t = 1 - 1e-12 the two differ by 5e-11 in p
+    # (the bisection itself is 5e-11 from the exact root there).  So the
+    # gap is bounded by 1e-15 in p plus 1e-15 in t, carried through h'.
+    edges = np.array([0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0])
+    dense = np.linspace(0.0, 1.0, 100001)
+    for t in (edges, dense, np.logspace(-300, 0, 3001)):
+        got, want = _entropy_inverse(t), _bisection_entropy_inverse(t)
+        slope = np.log2((1.0 - want) / np.maximum(want, 1e-300))
+        with np.errstate(divide="ignore"):
+            assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + 1.0 / slope))
+    got = _entropy_inverse(edges)
+    assert got[0] == 0.0 and got[-1] == 0.5
+    assert np.all(np.diff(_entropy_inverse(dense)) >= 0.0)
+
+
+def _modules_after(code: str, prefix: str) -> str:
+    """The modules under `prefix` loaded in a fresh interpreter after `code`."""
     src = str(Path(chancap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += f"\nimport sys; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_modules_after("import chancap") == "[]"
+    assert _modules_after("import chancap", "scipy") == "[]"
+
+
+def test_thread_pool_loads_only_past_one_block():
+    # concurrent.futures costs milliseconds to import, so neither the
+    # import nor a one-block density spectrum may load it; two blocks do.
+    draw = "import chancap\nchancap.estimate_spectrum(chancap.ContinuousBscComposite.uniform(), 50, {}, 0)"
+    assert _modules_after("import chancap", "concurrent") == "[]"
+    assert _modules_after(draw.format(2**14), "concurrent") == "[]"
+    assert "'concurrent.futures'" in _modules_after(draw.format(2**14 + 1), "concurrent")
 
 
 def test_star_values():

@@ -263,6 +263,15 @@ def test_ergodic_gilbert_elliott_draw_exits_2(tmp_path, capsys, sub):
     assert not out.exists()
 
 
+def test_mapdemo_zero_rate_code_past_float_range(tmp_path, capsys):
+    # Used to exit 2: n R_p overflowed a float and read as over budget.
+    cfg = tmp_path / "md.cfg"
+    cfg.write_text("n=1" + "0" * 400 + "\nr_1=0\n")
+    assert main(["mapdemo", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "total rate R_t = 0 (0 bits)" in out and "subset {1}: rate 0, indices (empty)" in out
+
+
 def test_mapdemo_custom(tmp_path, capsys):
     cfg = tmp_path / "md.cfg"
     cfg.write_text("num_states=3\nn=8\npmf=0.2,0.3,0.5\nr_123=0.25\nr_3=0.125\n")

@@ -241,3 +241,15 @@ def test_bc_to_expected_bit_budget():
     for n, rates in ((2**16 + 1, {(0,): 1.0}), (10**12, {(0, 1): 0.3, (1,): 0.2}), (20, {(0,): 1e308})):
         with pytest.raises(ValueError, match="must total at most 65536 bits"):
             bc_to_expected(BroadcastCodeSpec(2, rates, n), [0.5, 0.5])
+
+
+def test_bc_to_expected_zero_rate_past_float_range():
+    # n R_p with n past float range used to overflow and read as over
+    # budget even at R_p = 0, which is a 0-bit block at any n.
+    n = 10**400
+    code = bc_to_expected(BroadcastCodeSpec(2, {(0,): 0.0, (0, 1): 0.0}, n), [0.5, 0.5])
+    assert code.index_sets.i_t == frozenset() and code.total_rate == 0.0
+    assert code.state_rates == {0: 0.0, 1: 0.0} and code.expected_rate == 0.0
+    # A positive rate at that n is still refused.
+    with pytest.raises(ValueError, match="must total at most 65536 bits"):
+        bc_to_expected(BroadcastCodeSpec(2, {(0,): 0.0, (1,): 1e-300}, n), [0.5, 0.5])

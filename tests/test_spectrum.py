@@ -1,9 +1,12 @@
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 from scipy.stats import binom
 
 from chancap import spectrum
@@ -302,6 +305,10 @@ def _per_draw_spectrum(composite, n, trials, seed, histograms=False):
     is evaluated with info_density_bsc/info_density_bec, and the pooled
     values are sorted.
 
+    A density draws its trials in blocks of spectrum._BLOCK: block 0
+    from the seed's generator and block j from its spawned child j - 1,
+    each its crossovers and then its counts.
+
     Without `histograms` every state's counts are drawn one by one, which
     is the stream whenever n + 1 exceeds every state's draw count.  With
     it, a state with at least n + 1 draws and 0 < p < 1 draws its
@@ -311,10 +318,14 @@ def _per_draw_spectrum(composite, n, trials, seed, histograms=False):
         composite = composite.as_composite()
     rng = np.random.default_rng(seed)
     if isinstance(composite, ContinuousBscComposite):
-        p = composite.sample(rng, trials)
-        counts = rng.binomial(n, p)
-        values = np.array([info_density_bsc(int(d), n, float(pd)) for d, pd in zip(counts, p)])
-        return np.sort(values)
+        block = spectrum._BLOCK
+        blocks = -(-trials // block)
+        vals = []
+        for j, gen in enumerate([rng, *rng.spawn(blocks - 1)]):
+            p = composite.sample(gen, min(block, trials - j * block))
+            counts = gen.binomial(n, p)
+            vals.extend(info_density_bsc(int(d), n, float(pd)) for d, pd in zip(counts, p))
+        return np.sort(np.array(vals))
     density = info_density_bec if composite.family == "bec" else info_density_bsc
     support = np.flatnonzero(composite.pmf > 0.0)
     vals = []
@@ -419,6 +430,97 @@ def test_estimate_spectrum_huge_n_matches_oracle():
     got = estimate_spectrum(comp, n=n, trials=3000, seed=5)
     values = _per_draw_spectrum(comp, n, 3000, 5)
     assert np.repeat(got.values, _counts(got)).tobytes() == values.tobytes()
+
+
+_GRIDDED = ContinuousBscComposite(np.array([0.0, 0.1, 0.25, 0.4]), np.array([1.0, 4.0, 3.0, 0.0]))
+
+
+@pytest.mark.parametrize("law, trials", [
+    pytest.param(ContinuousBscComposite.uniform(), spectrum._BLOCK, id="uniform-one-block"),
+    pytest.param(_GRIDDED, spectrum._BLOCK + 1, id="gridded-two-blocks"),
+    pytest.param(ContinuousBscComposite.uniform(), 2 * spectrum._BLOCK + 17, id="uniform-three-blocks"),
+])
+def test_estimate_spectrum_density_blocks_match_replay(law, trials):
+    got = estimate_spectrum(law, n=300, trials=trials, seed=21)
+    assert got.values.tobytes() == _per_draw_spectrum(law, 300, trials, 21).tobytes()
+
+
+def test_estimate_spectrum_density_does_not_depend_on_workers(monkeypatch):
+    # The default pool, one worker, and eight workers switching threads
+    # every microsecond: each block owns its slice of the output, so a
+    # lost or misplaced write would change the bytes.
+    trials = 3 * spectrum._BLOCK + 5
+    pooled = estimate_spectrum(_GRIDDED, n=700, trials=trials, seed=4)
+    for workers, interval in ((1, sys.getswitchinterval()), (8, 1e-6)):
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(interval)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(spectrum, "_pool", lambda: pool)
+                other = estimate_spectrum(_GRIDDED, n=700, trials=trials, seed=4)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert pooled.values.tobytes() == other.values.tobytes()
+        assert pooled.cum_counts.tobytes() == other.cum_counts.tobytes()
+
+
+def test_estimate_spectrum_density_error_in_a_block_propagates(monkeypatch):
+    # A block's error reaches the caller through the pool.
+    def bad_density(d, n, p):
+        raise ValueError("bad block")
+
+    monkeypatch.setattr(spectrum, "info_density_bsc", bad_density)
+    with pytest.raises(ValueError, match="bad block"):
+        estimate_spectrum(ContinuousBscComposite.uniform(), n=10, trials=2 * spectrum._BLOCK, seed=0)
+
+
+def _uniform_exact_cdf(n, alphas):
+    """P(i <= alpha) of the uniform law at blocklength n.
+
+    Given count k, i(k, p) = 1 + (k/n) log2 p + (1 - k/n) log2(1 - p) is
+    concave in p with its top at p = k/n, so i > alpha on one interval
+    [p1, p2], found by bisection on each side of k/n.  The mass of
+    count k with crossover in [0, x] is I_x(k+1, n-k+1) / (n+1), so
+    F(alpha) = sum_k 2/(n+1) (I_p1 + I_1/2 - I_p2) with p1, p2 clipped
+    to [0, 1/2].
+    """
+    k = np.arange(n + 1.0)[:, None]
+    frac = k / n
+
+    def density(p):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 + np.nan_to_num(frac * np.log2(p)) + np.nan_to_num((1.0 - frac) * np.log2(1.0 - p))
+
+    def crossing(lo, hi, rising):
+        # The p in [lo, hi] where density(p) - alpha changes sign.
+        lo, hi = np.broadcast_to(lo, (n + 1, alphas.size)), np.broadcast_to(hi, (n + 1, alphas.size))
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            above = (density(mid) > alphas) == rising
+            lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+        return 0.5 * (lo + hi)
+
+    top = density(frac) > alphas
+    p1 = np.where(top, crossing(0.0, frac, True), 0.0)
+    p2 = np.where(top, crossing(frac, 1.0, False), 0.0)
+    p1, p2 = np.minimum(p1, 0.5), np.minimum(p2, 0.5)
+    a, b = k + 1.0, n - k + 1.0
+    inside = betainc(a, b, p2) - betainc(a, b, p1)
+    return (2.0 / (n + 1) * (betainc(a, b, 0.5) - inside)).sum(axis=0)
+
+
+def test_estimate_spectrum_uniform_law_within_dkw_band_of_exact_law():
+    # Seven blocks, drawn on the pool.  The empirical cdf must lie in the
+    # DKW-Massart band (delta = 1e-6) of the exact cdf, on both sides of
+    # 400 alphas at the sample's own quantiles.
+    n, trials = 500, 10**5
+    cdf = estimate_spectrum(ContinuousBscComposite.uniform(), n=n, trials=trials, seed=8)
+    alphas = np.unique(cdf.values[np.linspace(0, trials - 1, 400).astype(int)])
+    exact = _uniform_exact_cdf(n, alphas)
+    f_right = cdf.evaluate(alphas)
+    f_left = np.searchsorted(cdf.values, alphas, side="left") / trials
+    eps = np.sqrt(np.log(2.0 / 1e-6) / (2.0 * trials))
+    assert max(np.abs(f_right - exact).max(), np.abs(f_left - exact).max()) <= eps
 
 
 def _exact_atoms(composite, n):
