@@ -155,9 +155,15 @@ def best_outage_rate(composite) -> tuple[float, float]:
             best_q, best_v = float(qs[k]), float(vals[k])
             qs = np.linspace(qs[max(k - 1, 0)], qs[min(k + 1, qs.size - 1)], _OUTAGE_SCAN_POINTS + 1)
         return best_q, best_v
-    masses = np.concatenate([[0.0], law.worst_mass])
-    candidates = masses[masses * (1.0 + _ATOM_RTOL) < 1.0]
-    values = (1.0 - candidates) * _c_q(law, candidates)
+    # With every state in outage the rate is 0, so that q is no candidate.
+    masses = np.concatenate([[0.0], law.worst_mass[:-1]])
+    kept = masses * (1.0 + _ATOM_RTOL) < 1.0
+    candidates = masses[kept]
+    # The mass out of outage at each candidate, summed from the best
+    # state: 1 - q rounds it, and the best state's mass alone then
+    # misses its own value by an ulp.
+    upper = np.add.accumulate(law.mass[law.worst[::-1]])[::-1]
+    values = upper[kept] * _c_q(law, candidates)
     best_q, best_v = 0.0, -np.inf
     for qc, v in zip(candidates.tolist(), values.tolist()):
         if v > best_v + 1e-15:

@@ -123,8 +123,8 @@ def cdf_quantile(cdf: EmpiricalCdf, q: float) -> float:
     if not 0.0 <= q < 1.0:
         raise ValueError("cdf_quantile: q must lie in [0, 1)")
     m = cdf.trials
-    k = min(int(np.floor(q * m)), m - 1)
-    return float(cdf.values[np.searchsorted(cdf.cum_counts, k, side="right")])
+    k = min(math.floor(q * m), m - 1)
+    return float(cdf.values[cdf.cum_counts.searchsorted(k, side="right")])
 
 
 # Loader's saddle-point form of the binomial pmf ("Fast and accurate
@@ -137,64 +137,88 @@ _STIRLERR_TABLE = np.array(
 )
 
 
-def _stirlerr(k: np.ndarray) -> np.ndarray:
+def _stirlerr(n: int) -> np.ndarray:
+    """stirlerr(k) for k = 1..n: the table below 16, the series above."""
+    out = np.empty(n)
+    out[:15] = _STIRLERR_TABLE[1:n + 1]
+    k = np.arange(16.0, n + 1)
     kk = k * k
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
-    return np.where(k < 16, _STIRLERR_TABLE[np.minimum(k, 15).astype(int)], series)
+    out[15:] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+    return out
 
 
-def _bd0(x: np.ndarray, m: float) -> np.ndarray:
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """x ln(x/m) + m - x, as x log1p((x-m)/m) - (x-m) for accuracy near x = m."""
     d = x - m
     with np.errstate(over="ignore"):
         return x * np.log1p(d / m) - d
 
 
-def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) pmf at 0..n for 0 < p < 1.
+def _binomial_pmf(n: int, ps) -> np.ndarray:
+    """Binomial(n, p) pmf at 0..n, one row per p of `ps`, each 0 < p < 1.
 
     Each probability above 1e-300 is within about 1e-11 of its value,
     relative, up to n = 10^6 and far into both tails; smaller ones may
-    underflow to 0.
+    underflow to 0.  The terms free of p are formed once for all rows.
     """
-    log_pmf = np.empty(n + 1)
-    log_pmf[0] = n * math.log1p(-p)
-    log_pmf[n] = n * math.log(p)
+    ps = np.asarray(ps, dtype=float)
+    log_pmf = np.empty((ps.size, n + 1))
+    log_pmf[:, 0] = [n * math.log1p(-p) for p in ps.tolist()]
+    log_pmf[:, n] = [n * math.log(p) for p in ps.tolist()]
     k = np.arange(1.0, n)
     rest = k[::-1]  # n - k
-    st = _stirlerr(k)
-    log_pmf[1:n] = (
-        _stirlerr(np.array(float(n))) - st - st[::-1]
-        - _bd0(k, n * p) - _bd0(rest, n * (1.0 - p))
-        + 0.5 * np.log(n / (k * rest)) - _HALF_LN_2PI
-    )
-    return np.exp(log_pmf)
+    st = _stirlerr(n)
+    head = st[-1] - st[:-1] - st[-2::-1]
+    col = ps[:, None]
+    # The terms are summed left to right as in a per-p evaluation, so a
+    # row does not depend on the other ps.
+    body = log_pmf[:, 1:n]
+    np.subtract(head, _bd0(k, n * col), out=body)
+    body -= _bd0(rest, n * (1.0 - col))
+    body += 0.5 * np.log(n / (k * rest))
+    body -= _HALF_LN_2PI
+    return np.exp(log_pmf, out=log_pmf)
+
+
+# Table cells built at once when drawing histograms: the rows of
+# _histogram_tables come in chunks of at most this many cells (at least
+# one row), so a law of many states at a large n needs no large table.
+_TABLE_CELLS = 2**18
+
+
+def _histogram_tables(n: int, ps: np.ndarray):
+    """For each p of `ps` in turn, the counts 0..n ordered from both
+    tails toward the mode of Binomial(n, p), and their probabilities.
+
+    A row's category j is count j below the mode, else n + mode - j.
+    numpy's multinomial draws the categories in order, each as a
+    binomial with its probability over the mass not yet drawn, which it
+    tracks by subtraction.  This order keeps that mass at least the
+    mode's, so its rounding error never dominates a tail's remaining
+    mass.  The rows are built in chunks of 2-D passes, each chunk when
+    the first of its rows is asked for.
+    """
+    j = np.arange(n + 1)
+    step = max(1, _TABLE_CELLS // (n + 1))
+    for lo in range(0, ps.size, step):
+        pmf = _binomial_pmf(n, ps[lo:lo + step])
+        mode = pmf.argmax(axis=1)[:, None]
+        order = np.where(j < mode, j, n + mode - j)
+        # One flat gather: faster than take_along_axis, same values.
+        yield from zip(order, pmf.take(order + (n + 1) * np.arange(len(pmf))[:, None]))
 
 
 def _count_histogram(rng, n: int, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied counts and their multiplicities among k Binomial(n, p) draws.
+    """Occupied counts and their multiplicities among k Binomial(n, p)
+    draws, drawn one by one.
 
-    With n + 1 <= k and 0 < p < 1 the histogram is drawn directly as one
-    Multinomial(k, pmf) vector.  numpy draws the categories in order,
-    each as a binomial with its probability over the mass not yet
-    drawn, which it tracks by subtraction.  Ordering the categories from
-    both tails toward the mode keeps that mass at least the mode's, so
-    its rounding error never dominates a tail's remaining mass.
     At p = 0 every count is 0, and numpy's Binomial(n, 0) draws consume
-    no random numbers, so the one cell is returned without drawing.
-    Otherwise the k counts are drawn one by one (at p = 1 each draw
-    consumes a uniform, so those draws stay).
+    no random numbers, so the one cell is returned without drawing (at
+    p = 1 each draw consumes a uniform, so those draws stay).
     """
     if p == 0.0:
         return np.array([0]), np.array([k])
-    if n + 1 > k or not 0.0 < p < 1.0:
-        return np.unique(rng.binomial(n, p, size=k), return_counts=True)
-    pmf = _binomial_pmf(n, p)
-    mode = int(np.argmax(pmf))
-    order = np.concatenate([np.arange(mode), np.arange(n, mode - 1, -1)])
-    hist = rng.multinomial(k, pmf[order])
-    hit = np.flatnonzero(hist)
-    return order[hit], hist[hit]
+    return np.unique(rng.binomial(n, p, size=k), return_counts=True)
 
 
 # Trials per block of a density law's draws.  The blocks fix the random
@@ -243,8 +267,11 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
     binomial draws.  Either is the law of drawing the pairs one by one,
     since the result is sorted.  So a state's draws cost O(min(k, n))
     for any n, and a state makes at most n + 1 cells however many
-    trials it draws.  The density is evaluated once per occupied cell,
-    and each cell keeps its multiplicity as its count.
+    trials it draws.  The pmfs of the multinomial states come from one
+    table (_histogram_tables), whose terms free of p are formed once
+    per call; the states still draw in state order, so the table does
+    not move the stream.  The density is evaluated once per occupied
+    cell, and each cell keeps its multiplicity as its count.
     """
     if n < 1:
         raise ValueError("estimate_spectrum: n must be >= 1")
@@ -275,9 +302,19 @@ def estimate_spectrum(composite, n: int, trials: int, seed) -> EmpiricalCdf:
         values.sort()
         return EmpiricalCdf(values, np.arange(1, trials + 1), blocklength=n, trials=trials)
     params = law.params
+    split = law.split(rng, trials)
+    table_states = [state for state, size in split if size > n and 0.0 < params[state] < 1.0]
+    tables = _histogram_tables(n, params[table_states])
     cells = []
-    for state, size in law.split(rng, trials):
-        count, mult = _count_histogram(rng, n, float(params[state]), size)
+    for state, size in split:
+        p = float(params[state])
+        if size > n and 0.0 < p < 1.0:
+            order, pvals = next(tables)
+            hist = rng.multinomial(size, pvals)
+            hit = np.flatnonzero(hist)
+            count, mult = order[hit], hist[hit]
+        else:
+            count, mult = _count_histogram(rng, n, p, size)
         cells.append((np.full(count.size, state), count, mult))
     cell_state, cell_count, mult = (np.concatenate(c) for c in zip(*cells))
     density = info_density_bec if law.family == "bec" else info_density_bsc

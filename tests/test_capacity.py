@@ -347,13 +347,16 @@ def test_outage_curve_matches_greedy_oracle(comp, qs):
 
 def _sorting_best_outage_rate(law):
     """best_outage_rate of a discrete law as it was before the law kept
-    its order: an argsort of -params, two gathers and a cumsum per call."""
+    its order: an argsort of -params, two gathers and a cumsum per call.
+    The mass out of outage is summed from the best state."""
     order = np.argsort(-law.params)
     caps, weights = law.caps[order], law.mass[order]
     masses = np.concatenate([[0.0], np.cumsum(weights)])
-    candidates = masses[masses * (1.0 + 1e-12) < 1.0]
+    kept = masses * (1.0 + 1e-12) < 1.0
+    candidates = masses[kept]
+    upper = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])[kept]
     idx = np.searchsorted(np.cumsum(weights), candidates * (1.0 + 1e-12), side="right")
-    values = (1.0 - candidates) * caps[np.minimum(idx, np.nonzero(weights)[0][-1])]
+    values = upper * caps[np.minimum(idx, np.nonzero(weights)[0][-1])]
     best_q, best_v = 0.0, -np.inf
     for qc, v in zip(candidates.tolist(), values.tolist()):
         if v > best_v + 1e-15:

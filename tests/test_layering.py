@@ -1124,6 +1124,8 @@ def test_bec_bc_expected_rate():
     gap=st.floats(0.01, 0.19),
     w1=st.floats(0.0, 1.0),
 )
+# 1 - 0.81 rounds to 0.18999999999999995, so C^e formed from 1 - q missed w1 (1 - a1) by an ulp.
+@example(a1=0.78125, gap=0.1875, w1=0.19)
 def test_bec_bc_expected_rate_is_endpoint_max(a1, gap, w1):
     a2 = min(a1 + gap, 1.0)
     got = expected_capacity(_bec_pair(a1, a2, w1))

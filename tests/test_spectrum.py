@@ -1,10 +1,11 @@
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 from scipy.stats import binom
@@ -300,6 +301,36 @@ def test_estimate_spectrum_zero_crossover_state_at_huge_trials():
     assert cdf.values[-1] == 1.0 and 0.49 < 1.0 - cdf.evaluate(0.999) < 0.51
 
 
+def _oracle_stirlerr(k: np.ndarray) -> np.ndarray:
+    kk = k * k
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+    return np.where(k < 16, spectrum._STIRLERR_TABLE[np.minimum(k, 15).astype(int)], series)
+
+
+def _oracle_bd0(x: np.ndarray, m: float) -> np.ndarray:
+    """x ln(x/m) + m - x, as x log1p((x-m)/m) - (x-m) for accuracy near x = m."""
+    d = x - m
+    with np.errstate(over="ignore"):
+        return x * np.log1p(d / m) - d
+
+
+def _oracle_binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) pmf at 0..n for 0 < p < 1, one p per call: the
+    byte oracle for the rows of spectrum._binomial_pmf's table."""
+    log_pmf = np.empty(n + 1)
+    log_pmf[0] = n * math.log1p(-p)
+    log_pmf[n] = n * math.log(p)
+    k = np.arange(1.0, n)
+    rest = k[::-1]  # n - k
+    st = _oracle_stirlerr(k)
+    log_pmf[1:n] = (
+        _oracle_stirlerr(np.array(float(n))) - st - st[::-1]
+        - _oracle_bd0(k, n * p) - _oracle_bd0(rest, n * (1.0 - p))
+        + 0.5 * np.log(n / (k * rest)) - spectrum._HALF_LN_2PI
+    )
+    return np.exp(log_pmf)
+
+
 def _per_draw_spectrum(composite, n, trials, seed, histograms=False):
     """estimate_spectrum's random stream replayed draw by draw: every draw
     is evaluated with info_density_bsc/info_density_bec, and the pooled
@@ -332,7 +363,7 @@ def _per_draw_spectrum(composite, n, trials, seed, histograms=False):
     for state, size in zip(support, rng.multinomial(trials, composite.pmf[support])):
         p = float(composite.params[state])
         if histograms and size >= n + 1 and 0.0 < p < 1.0:
-            pmf = spectrum._binomial_pmf(n, p)
+            pmf = _oracle_binomial_pmf(n, p)
             mode = int(np.argmax(pmf))
             order = list(range(mode)) + list(range(n, mode - 1, -1))
             hist = rng.multinomial(size, pmf[order])
@@ -411,7 +442,7 @@ def test_estimate_spectrum_histogram_branch_matches_replay(comp, n, trials, seed
     ),
 )
 def test_binomial_pmf_matches_scipy(n, p):
-    got = spectrum._binomial_pmf(n, p)
+    got = spectrum._binomial_pmf(n, [p])[0]
     if p < 1e-300:
         # scipy's pmf raises OverflowError here; all mass sits at 0.
         assert got[0] == 1.0 and np.all(got[1:] <= 1e-290)
@@ -420,6 +451,85 @@ def test_binomial_pmf_matches_scipy(n, p):
     big = want > 1e-300
     assert np.all(np.abs(got[big] - want[big]) <= 1e-10 * want[big])
     assert np.all(got[~big] <= 1e-290)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 40), st.integers(1, 5000)),
+    ps=st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.sampled_from([1e-300, 1.0 - 1e-3, 0.5]),
+        min_size=1, max_size=6,
+    ),
+)
+@example(n=2000, ps=[0.5, 1e-300, 0.5, 1.0 - 1e-3])
+@example(n=1, ps=[0.5])
+def test_binomial_pmf_table_rows_match_scalar_oracle(n, ps):
+    # The table forms its terms free of p once for all rows, in the
+    # order the per-p form summed them, so every row is byte-equal.
+    table = spectrum._binomial_pmf(n, ps)
+    assert table.shape == (len(ps), n + 1)
+    for row, p in zip(table, ps):
+        assert row.tobytes() == _oracle_binomial_pmf(n, p).tobytes()
+
+
+_TABLE_BSC = DiscreteComposite(
+    (BscState(0.1), BscState(0.02), BscState(0.3), BscState(0.0), BscState(0.25), BscState(0.3)),
+    [0.3, 0.015, 0.25, 0.2, 0.0, 0.235],
+)
+_TABLE_BEC = DiscreteComposite((BecState(0.2), BecState(1.0), BecState(0.45)), [0.4, 0.3, 0.3])
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+@pytest.mark.parametrize("law", [_TABLE_BSC, _TABLE_BEC], ids=["bsc6", "bec-alpha1"])
+def test_estimate_spectrum_table_keeps_the_stream(law, n):
+    # Table states drawn around states that draw one by one: the BSC law
+    # has a p = 0 state, a zero-mass one, a repeated p and a state with
+    # fewer than n + 1 draws between two table states; the BEC law an
+    # alpha = 1 state, whose draws consume uniforms, between two.
+    trials, seed = 20000, 13
+    split = law.law.split(np.random.default_rng(seed), trials)
+    table = [size > n and 0.0 < law.params[s] < 1.0 for s, size in split]
+    assert table[0] and table[-1] and not all(table)
+    got = estimate_spectrum(law, n=n, trials=trials, seed=seed)
+    values = _per_draw_spectrum(law, n, trials, seed, histograms=True)
+    assert np.repeat(got.values, _counts(got)).tobytes() == values.tobytes()
+
+
+def test_estimate_spectrum_table_chunks_do_not_change_the_draws(monkeypatch):
+    # One row per chunk and two rows per chunk (three table states) give
+    # the bytes of the one-chunk table.
+    n = 500
+    whole = estimate_spectrum(_TABLE_BSC, n=n, trials=20000, seed=13)
+    for cells in (1, 2 * (n + 1)):
+        monkeypatch.setattr(spectrum, "_TABLE_CELLS", cells)
+        chunked = estimate_spectrum(_TABLE_BSC, n=n, trials=20000, seed=13)
+        assert whole.values.tobytes() == chunked.values.tobytes()
+        assert whole.cum_counts.tobytes() == chunked.cum_counts.tobytes()
+
+
+def _numpy_floor_quantile(cdf, q):
+    """cdf_quantile as it was written with numpy's floor and searchsorted."""
+    m = cdf.trials
+    k = min(int(np.floor(q * m)), m - 1)
+    return float(cdf.values[np.searchsorted(cdf.cum_counts, k, side="right")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8).map(sorted),
+    counts=st.lists(st.integers(1, 3) | st.integers(1, 10**12 // 8), min_size=8, max_size=8),
+    q=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_cdf_quantile_matches_numpy_floor_form(values, counts, q):
+    # Up to 10^12 trials, at q in {0, 1/2, 1 - 2^-53}, a drawn q, and
+    # at and beside every cell edge, where floor(q m) picks the cell.
+    cdf = _cdf(values, np.array(counts[:len(values)], dtype=np.int64))
+    edges = cdf.cum_counts / cdf.trials
+    qs = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53, q], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    for q in qs[qs < 1.0].tolist():
+        got, want = cdf_quantile(cdf, q), _numpy_floor_quantile(cdf, q)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_estimate_spectrum_huge_n_matches_oracle():
