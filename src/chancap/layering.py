@@ -9,7 +9,9 @@ cascade by a monotone profile r(p) whose optimality condition is an
 Euler equation with two cutoffs p_l (r = 0 below) and p_u (r = 1/2
 above): states better than p_l decode everything, states worse than
 p_u get nothing.  Where the pointwise solution falls, the profile is
-pooled flat by the same rule as the discrete cascade.
+pooled flat by the same rule as the discrete cascade.  A gridded profile
+is the cascade that sends each layer to the right edge of its grid cell,
+and its expected rate is that cascade's discrete_expected_rate.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .channels import (
     EPS,
     ContinuousBscComposite,
     _entropy_bits,
-    binary_entropy,
-    star,
     state_law,
 )
 
@@ -111,8 +111,9 @@ class RateProfile:
         object.__setattr__(self, "rates", rr)
 
     def rate_at(self, p):
-        """R(p); the plateau value below the grid, 0 above it."""
-        return np.interp(p, self.grid, self.rates, left=float(self.rates[0]), right=0.0)
+        """R(p), a step: rates[k] for g_k <= p < g_{k+1}, rates[0] below the grid, 0 above it."""
+        k = np.maximum(np.searchsorted(self.grid, p, side="right") - 1, 0)
+        return np.where(np.asarray(p) > self.grid[-1], 0.0, self.rates[k])[()]
 
 
 @dataclass(frozen=True)
@@ -599,47 +600,41 @@ def _layering(density, band: CutoffPair) -> LayerProfile:
     return _on_band(band, r_of)
 
 
-def _euler(layer: LayerProfile) -> tuple[np.ndarray, float, RateProfile]:
-    """-dR/dp = log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) on the profile's grid
-    (r' by central differences, 0 on one point); the top layer
-    J = 1 - h(p_u * r(p_u)) of r(p_u) -> 1/2, which every state up to p_u
-    decodes (0 when r(p_u) = 1/2); and R(p) = J + the trapezoid integral of -dR up to p_u."""
-    g, r = layer.grid, layer.r
-    x = np.clip(star(g, r), EPS, 1.0 - EPS)
-    top = 1.0 - binary_entropy(float(x[-1])) if r[-1] < 0.5 else 0.0
-    increments = np.log2(1.0 / x - 1.0) * (1.0 - 2.0 * g) * (np.gradient(r, g) if g.size > 1 else 0.0)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (increments[1:] + increments[:-1]) * np.diff(g))])
-    return increments, top, RateProfile(grid=g, rates=np.maximum(cum[-1] - cum, 0.0) + top)
+def _right_edges(layer: LayerProfile) -> tuple[np.ndarray, np.ndarray]:
+    """States (g_1 ... g_{N-1}, p_u) and chain (r_0 ... r_{N-1}, 1/2) of the code
+    a profile on g_0 = p_l ... g_{N-1} = p_u defines: layer (r_{j-1}, r_j] at
+    the right edge g_j, its cell's weakest state, and the top layer at p_u.
+    Shamai and Steiner's (2003) continuum layering is the limit of these codes."""
+    return np.append(layer.grid[1:], layer.grid[-1]), np.append(layer.r, 0.5)
 
 
 def rate_profile(layer: LayerProfile) -> RateProfile:
-    """R(p), integrated down from the worst state (_euler).  R vanishes
-    above p_u and plateaus below p_l."""
-    return _euler(layer)[2]
+    """The staircase of the profile's code (_right_edges): rates[j] is the top
+    layer J = 1 - h(p_u * r(p_u)) plus the layers right of g_j, what every
+    state in (g_j, g_{j+1}] decodes; so rate_at is at most one layer low on the grid."""
+    layers = _layer_rates(*_right_edges(layer))
+    return RateProfile(grid=layer.grid, rates=np.maximum(np.cumsum(layers[::-1])[::-1], 0.0))
 
 
-def _expected_rate(density, prof: RateProfile) -> float:
-    """E[R(p)] = F(lo) R(lo) + integral f R over the profile's grid [lo, hi]:
-    states below the grid decode the plateau R(lo), states above it
-    nothing."""
-    g = prof.grid
-    return float(density.cdf(g[0]) * prof.rates[0] + np.trapezoid(density.pdf(g) * prof.rates, g))
+def _code_rate(density, layer: LayerProfile) -> float:
+    """Expected rate of the profile's code (_right_edges) by discrete_expected_rate,
+    the states above p_u one state at 1/2: cumulative weights (F(g_1) ... F(p_u), 1)."""
+    states, chain = _right_edges(layer)
+    # F can step back by an ulp across a knot; the weights must be a pmf.
+    big_f = np.clip(np.maximum.accumulate(density.cdf(states)), 0.0, 1.0)
+    return discrete_expected_rate(np.diff(big_f, prepend=0.0, append=1.0), np.append(states, 0.5),
+                                  np.append(chain, 0.5))
 
 
 def _solve(density) -> tuple[LayerProfile, float]:
     """The optimal layer profile over [p_l, p_u] (find_cutoffs) and its
-    C^e = integral F(p) log2(1/(p * r(p)) - 1) (1 - 2p) r'(p) dp + F(p_u) J,
-    J = 1 - h(p_u * r(p_u)) the top layer (_euler).  Four certificates
-    raise SolverError: the integration-by-parts form F(p_l) R(p_l) +
-    integral f R agrees to 1e-6, and C^e lies (to 1e-9) above two
+    C^e, the expected rate of the code it defines (_code_rate).  Three
+    certificates raise SolverError: C^e lies (to 1e-9) above two
     admissible codes, a single-layer outage code and the 64-state
     right-edge ladder (discretize_density), and below the mean state
     capacity, which no code beats."""
     layer = _layering(density, find_cutoffs(density))
-    g, (increments, top, prof) = layer.grid, _euler(layer)
-    value = float(np.trapezoid(density.cdf(g) * increments, g)) + float(density.cdf(g[-1])) * top
-    if abs(value - _expected_rate(density, prof)) > 1e-6:
-        raise SolverError("expected_capacity_continuous: integral forms disagree")
+    value = _code_rate(density, layer)
     if value < best_outage_rate(density)[1] - 1e-9:
         raise SolverError("expected_capacity_continuous: below the best outage rate")
     if value > mean_state_capacity(density) + 1e-9:
@@ -651,7 +646,7 @@ def _solve(density) -> tuple[LayerProfile, float]:
 
 def solve_layering(density) -> LayerProfile:
     """The optimal layer profile on [p_l, p_u], a one-layer code on a band
-    of width zero (_on_band); it passes the same four certificates as C^e."""
+    of width zero (_on_band); it passes the same three certificates as C^e."""
     return _solve(density)[0]
 
 
@@ -688,8 +683,8 @@ def parametric_profile(band: CutoffPair, gamma: float) -> LayerProfile:
     FULL_RANGE the "full-range" one, r = (2p)^gamma / 2 exactly; a band
     of width zero, the one-layer code for every gamma (_on_band)."""
     # Written as "not (in range)" so that NaN fails the check.  An
-    # infinite gamma is a step at the top of the band, which the
-    # finite-difference rate profile cannot integrate.
+    # infinite gamma is the family's limit, a step at the top of the
+    # band, not a member of it.
     if not 0.0 < gamma < math.inf:
         raise ValueError("parametric_profile: gamma must be positive and finite")
     return _on_band(band, lambda grid: 0.5 * ((grid - band.p_l) / (band.p_u - band.p_l)) ** gamma)
@@ -698,4 +693,4 @@ def parametric_profile(band: CutoffPair, gamma: float) -> LayerProfile:
 def parametric_expected_rate(density, band: CutoffPair, gamma: float) -> float:
     """Expected rate over `density` of the parametric profile on `band`."""
     _require_density(density, "parametric_expected_rate")
-    return _expected_rate(density, rate_profile(parametric_profile(band, gamma)))
+    return _code_rate(density, parametric_profile(band, gamma))

@@ -33,7 +33,7 @@ def test_capacity_uniform_stdout(capsys):
     q = data[:, 0]
     assert np.allclose(data[:, 1], 1.0 - binary_entropy((1.0 - q) / 2.0), atol=1e-9)
     assert np.allclose(data[:, 2], (1.0 - q) * data[:, 1], atol=1e-12)
-    assert np.allclose(data[:, 3], 0.11734466657589292, atol=1e-9)
+    assert np.allclose(data[:, 3], 0.11734466196332269, rtol=0.0, atol=1e-9)
     assert np.allclose(data[:, 4], 0.27865264154626224, atol=1e-6)
 
 
@@ -133,17 +133,18 @@ def test_broadcast_gamma(tmp_path, capsys):
     header, data = _rows(capsys.readouterr().out)
     assert header == ["gamma", "rate_optimal_cutoff", "rate_full_range", "expected_capacity"]
     assert data.shape == (2, 4)
-    assert np.allclose(data[:, 3], 0.11734466657589292, atol=1e-9)
+    assert np.allclose(data[:, 3], 0.11734466196332269, rtol=0.0, atol=1e-9)
     assert np.all(data[:, 1] <= data[:, 3] + 1e-9)
     assert np.all(data[:, 2] <= data[:, 1])
 
 
 # sha256 of `chancap broadcast` on the uniform law: the default layer
-# profile and mode=gamma at its default gammas.  Cutoffs from Brent's
-# method at xtol 1e-15 give the same bytes.
+# profile (the staircase of the right-edge code, at most 1 - h(p) at
+# every printed p) and mode=gamma at its default gammas (each rate below
+# C^e).  Cutoffs from Brent's method at xtol 1e-15 give the same bytes.
 BROADCAST_SHA256 = {
-    "": "0569419d3aeb5678a2b8d5f85666b3149cc7821979da336ec1cde8ad29e76056",
-    "family=uniform\nmode=gamma\n": "6098a0e9103c2439bf13f74fa6dfd6f969c97be8fc6686802acf795718e3bb1b",
+    "": "a54d91b00a5fb280f74b4c2b6f68fa3ba1a454bb8f627084bf191795f14049c5",
+    "family=uniform\nmode=gamma\n": "8121c137e9e45d98928122b8e0a95e9740329bd80e62c539ba2a9032d286ebb6",
 }
 
 
@@ -428,14 +429,20 @@ def test_cli_key_inventory(tmp_path, capsys, run, family):
 # The wedge law f = (2/w)(1 - p/w) on 1025 knots of [0, w], w = 1e-6.
 WEDGE_CSV = "".join(f"{p!r},{2e6 * (1.0 - p / 1e-6)!r}\n" for p in np.linspace(0.0, 1e-6, 1025).tolist())
 
+# A coarse law whose cutoff band misses the best layering: the code on
+# it is worth 0.00789 against a best outage rate of 0.04927.
+BELOW_OUTAGE_CSV = ("0.004877840262364153,0.0\n0.012026888962920423,0.9226779188118307\n"
+                    "0.02544500446663822,0.0\n0.47107362827748145,4.445457553411173\n")
+
 
 # Edge values of each key, drawn besides its KEY_VALUES entry: empty
 # lists, a lone comma, zero masses, one-point grids, n = 1, trials = 1,
-# q = 0, rate 0, and density laws with zero knots or no certified C^e.
+# q = 0, rate 0, and density laws with zero knots, a steep wedge or no
+# certified C^e.
 EDGE_VALUES = {
     "states": ["", ",", "0,0.5", "0.5"],
     "pmf": ["", ",", "0,1", "1,0", "1", "nan,1"], "erasures": ["", ",", "0,1", "1,1"], "p_good": ["0"],
-    "p_bad": ["0.5"], "g": ["1"], "b": ["1"], "pi_good": ["0", "1"], "density_file": ["ramp.csv", "wedge.csv"],
+    "p_bad": ["0.5"], "g": ["1"], "b": ["1"], "pi_good": ["0", "1"], "density_file": ["ramp.csv", "wedge.csv", "below_outage.csv"],
     "q_min": ["0.5"], "q_max": ["0.5", "0.99"], "grid": ["0", "1", "2"], "n": ["", ",", "1"],
     "alpha_grid": ["", ",", "0", "1"], "trials": ["1"], "seed": ["0"],
     "profile_grid": ["1", "2"], "gammas": ["", "0.5,4"], "ns": ["", ",", "1", "1,8"],
@@ -462,6 +469,7 @@ def _cli_runs(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=_cli_runs())
 @example(run=("simulate", {"family": "bec", "erasures": "0.1,0.3", "pmf": "0.5,0.5", "ns": ""}))
+@example(run=("broadcast", {"family": "uniform", "mode": "gamma", "gammas": "0.1"}))
 def test_cli_contract_on_generated_configs(tmp_path, capsys, run):
     """Every config answers with data rows free of NaN and inf that keep
     their subcommand's invariants, or exits 2 with one error line and no
@@ -472,8 +480,9 @@ def test_cli_contract_on_generated_configs(tmp_path, capsys, run):
                        # Zero on [0, 0.2], then a ramp that integrates to 1.
                        (tmp_path / "ramp.csv", "".join(f"{p},{max(p - 0.2, 0.0) / 0.045!r}\n"
                                                        for p in np.linspace(0.0, 0.5, 11).tolist())),
-                       # Every route exits 2 here: its C^e fails a certificate.
                        (tmp_path / "wedge.csv", WEDGE_CSV),
+                       # Every route exits 2 here: its C^e fails a certificate.
+                       (tmp_path / "below_outage.csv", BELOW_OUTAGE_CSV),
                        (cfg, "".join(f"{k}={v}\n" for k, v in values.items()))):
         path.unlink(missing_ok=True)
         path.write_text(text)
@@ -518,6 +527,12 @@ def _check_invariants(sub, header, data, tol=1e-9):
     elif header == ["p", "r", "rate"]:
         assert nondecreasing(col["r"]) and np.all((col["r"] >= 0.0) & (col["r"] <= 0.5))
         assert nondecreasing(-col["rate"]) and np.all(col["rate"] <= 1.0 + tol)
+        # No state decodes more than its own capacity.
+        assert np.all(col["rate"] <= 1.0 - binary_entropy(col["p"]) + tol)
+    else:
+        # A parametric code's expected rate is at most C^e.
+        for name in ("rate_optimal_cutoff", "rate_full_range"):
+            assert in_unit(col[name]) and np.all(col[name] <= col["expected_capacity"] + tol), name
 
 
 def test_spectrum_empty_alpha_grid_exits_2(tmp_path, capsys):
@@ -579,21 +594,46 @@ def test_negative_seed_exits_2(capsys, sub):
 
 
 def test_uncertified_law_exits_2_on_every_route(tmp_path, capsys):
-    # The wedge f = (2/w)(1 - p/w) on [0, 1e-6]: the trapezoid C^e lies
-    # above the mean state capacity.  `broadcast` used to skip the
-    # certificates and print R(0) = 1.68082675737 bits/use.
-    wedge = tmp_path / "wedge.csv"
-    wedge.write_text(WEDGE_CSV)
-    with pytest.raises(layering.SolverError, match="above the mean state capacity"):
-        layering.solve_layering(ContinuousBscComposite(*np.loadtxt(wedge, delimiter=",").T))
-    cfg, out = tmp_path / "wedge.cfg", tmp_path / "out.csv"
+    # `broadcast` used to skip the certificates and print the profile of
+    # a C^e that failed them.
+    law = tmp_path / "below_outage.csv"
+    law.write_text(BELOW_OUTAGE_CSV)
+    with pytest.raises(layering.SolverError, match="below the best outage rate"):
+        layering.solve_layering(ContinuousBscComposite(*np.loadtxt(law, delimiter=",").T))
+    cfg, out = tmp_path / "law.cfg", tmp_path / "out.csv"
     for sub, mode in (("capacity", ""), ("broadcast", ""), ("broadcast", "mode=gamma\n")):
-        cfg.write_text(f"family=density\ndensity_file={wedge}\n{mode}")
+        cfg.write_text(f"family=density\ndensity_file={law}\n{mode}")
         assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: expected_capacity_continuous: above the mean state capacity\n"
+        assert captured.err == "error: expected_capacity_continuous: below the best outage rate\n"
         assert not out.exists()
+
+
+def test_wedge_law_is_answered_on_every_route(tmp_path, capsys):
+    # The wedge f = (2/w)(1 - p/w) on [0, 1e-6]: the trapezoid C^e lay
+    # above the mean state capacity, and `broadcast` printed
+    # R(0) = 1.68082675737 bits/use.  The code's value lies between the
+    # best outage rate 0.99997863 and the mean state capacity 0.99999247.
+    wedge = tmp_path / "wedge.csv"
+    wedge.write_text(WEDGE_CSV)
+    law = ContinuousBscComposite(*np.loadtxt(wedge, delimiter=",").T)
+    low, high = chancap.best_outage_rate(law)[1], chancap.mean_state_capacity(law)
+    cfg = tmp_path / "wedge.cfg"
+    cfg.write_text(f"family=density\ndensity_file={wedge}\n")
+    assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 0
+    _, data = _rows(capsys.readouterr().out)
+    ce = data[0, 3]
+    assert ce == pytest.approx(0.999978654423, abs=1e-11) and low <= ce <= high
+    assert main(["broadcast", "--config", str(cfg)]) == 0
+    header, data = _rows(capsys.readouterr().out)
+    _check_invariants("broadcast", header, data)
+    assert data[0, 2] <= 1.0
+    cfg.write_text(cfg.read_text() + "mode=gamma\n")
+    assert main(["broadcast", "--config", str(cfg)]) == 0
+    header, data = _rows(capsys.readouterr().out)
+    _check_invariants("broadcast", header, data)
+    assert np.all(data[:, 3] == ce)
 
 
 def test_memory_error_exits_2(capsys, monkeypatch):
@@ -656,7 +696,7 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys):
 # mixture, and BSC mixtures with a zero-mass atom and with tied
 # crossovers.
 CAPACITY_SHA256 = {
-    "": "b1d8be67b7b2ad8b340a6c0e36cd9461248479318b31fdac7a8e2932cb59db5c",
+    "": "886b4c6e7594050617a4336866b4df16835c5e4387b9f04e68e509661a40f268",
     "family=ge\np_good=0.05\np_bad=0.3\npi_good=0.14\n":
         "d9bc4a8852ef263fda2591fbf96b381aa052895bf05e7fc83029ee35ef427dba",
     "family=ge\np_good=0.05\np_bad=0.3\ng=0.2\nb=0.1\n":
@@ -837,9 +877,10 @@ def test_density_without_band_is_one_layer_in_every_command(tmp_path, capsys):
 
 
 def test_capacity_of_smooth_bump(tmp_path, capsys):
-    # F is the exact integral of the interpolated f, so the Euler and
-    # integration-by-parts forms agree (they used to differ by 2.1e-6),
-    # and C^e lies just above the 4096-state ladder.
+    # F is the exact integral of the interpolated f, and C^e, the value
+    # of the right-edge code on 4097 points, lies 1.7e-8 above the
+    # 4096-state ladder and 6.5e-11 below the Richardson value
+    # (4 L(8192) - L(4096))/3 of the right-edge ladders.
     g = np.linspace(0.0, 0.5, 257)
     f = 0.3 + np.exp(-(((g - 0.15) / 0.06) ** 2))
     f = f / np.trapezoid(f, g)
@@ -860,7 +901,7 @@ def test_two_bump_density_is_layered_over_its_last_band(tmp_path, capsys):
     assert main(["capacity", "--config", str(cfg), "--grid", "3"]) == 0
     _, data = _rows(capsys.readouterr().out)
     ce = data[0, 3]
-    assert ce == pytest.approx(0.14096928, abs=1e-8)
+    assert ce == pytest.approx(0.14095998, abs=1e-8)
     assert main(["broadcast", "--config", str(cfg)]) == 0
     _, data = _rows(capsys.readouterr().out)
     p, r, rate = data.T

@@ -405,8 +405,11 @@ def test_solve_layering_shape(monkeypatch):
 
 
 def test_rate_profile_uniform():
+    # The staircase total R(p_l) converges at first order in the grid:
+    # 0.381431765 at 4097 points, 0.381436413 at 8193 and 0.381438738 at
+    # 16385, from below the continuum value 0.3814411.
     prof = rate_profile(solve_layering(UNIFORM))
-    assert prof.rates[0] == pytest.approx(0.38144108581103864, abs=1e-12)
+    assert prof.rates[0] == pytest.approx(0.3814317650473523, abs=1e-12)
     # The same profile from Brent's method, for the cutoffs and per point.
     oracle = rate_profile(LayerProfile(*_brentq_layering(UNIFORM, 4097, _brentq_cutoffs(UNIFORM))))
     assert abs(prof.rates[0] - oracle.rates[0]) <= 1e-13
@@ -416,6 +419,10 @@ def test_rate_profile_uniform():
     assert prof.rate_at(0.0) == prof.rates[0]
     assert prof.rate_at(0.3) == 0.0
     assert prof.rate_at(0.49) == 0.0
+    # A step lookup: rates[k] on [g_k, g_{k+1}), the top layer at p_u.
+    g = prof.grid
+    assert np.array_equal(prof.rate_at(g), prof.rates)
+    assert np.array_equal(prof.rate_at(0.5 * (g[1:] + g[:-1])), prof.rates[:-1])
 
 
 def test_rate_profile_constant_r_carries_nothing():
@@ -440,7 +447,10 @@ def test_rate_profile_step_matches_single_cutoff():
 
 
 def test_expected_capacity_continuous():
-    assert expected_capacity_continuous(UNIFORM) == pytest.approx(0.11734466657589292, abs=1e-12)
+    # The value of the right-edge code on 4097 points: 5.7e-11 below the
+    # Richardson value (4 L(8192) - L(4096))/3 = 0.117344662021 of the
+    # right-edge ladders, and within 1e-15 of an mpmath sum of its layers.
+    assert expected_capacity_continuous(UNIFORM) == pytest.approx(0.11734466196332269, abs=1e-12)
     assert expected_capacity(DiscreteComposite((BscState(0.2),), [1.0])) == bsc_capacity(0.2)
 
 
@@ -471,19 +481,25 @@ def test_expected_capacity_two_state_bec(a1, a2, w1, swap):
     assert abs(got - max(1.0 - a2, w1 * (1.0 - a1))) <= tol
 
 
+def _code_inputs(density, lay):
+    """The layered code a profile defines on its grid, as
+    discrete_expected_rate takes it: layer (r_{j-1}, r_j] at the right
+    edge g_j, the top layer r(p_u) -> 1/2 at p_u, and the states above
+    p_u as one state at 1/2 that decodes nothing."""
+    states = np.append(lay.grid[1:], [lay.grid[-1], 0.5])
+    big_f = np.append(density.cdf(states[:-1]), 1.0)
+    return np.diff(big_f, prepend=0.0), states, np.append(lay.r, [0.5, 0.5])
+
+
 def test_solved_profile_is_first_order_optimal():
     layer = solve_layering(UNIFORM)
     g, cut = layer.grid, find_cutoffs(UNIFORM)
 
     def functional(lay):
-        prof = rate_profile(lay)
-        return float(
-            UNIFORM.cdf(lay.grid[0]) * prof.rates[0]
-            + np.trapezoid(UNIFORM.pdf(lay.grid) * prof.rates, lay.grid)
-        )
+        return discrete_expected_rate(*_code_inputs(UNIFORM, lay))
 
     base = functional(layer)
-    assert base == pytest.approx(expected_capacity_continuous(UNIFORM), abs=1e-8)
+    assert base == pytest.approx(expected_capacity_continuous(UNIFORM), abs=1e-15)
     mid = g[g.size // 2]
     width = (cut.p_u - cut.p_l) / 20.0
     for sign in (1.0, -1.0):
@@ -494,8 +510,8 @@ def test_solved_profile_is_first_order_optimal():
 
 
 def test_expected_capacity_grid_convergence(monkeypatch):
-    # Observed: difference 4.2e-9 and order 1.91 (trapezoid plus central
-    # differences are second order).
+    # Observed: difference 5.6e-11 and order 2.00 (the right-edge code
+    # loses second order in the grid step from the optimal continuum).
     def at(num):
         monkeypatch.setattr(layering, "_PROFILE_POINTS", num)
         return expected_capacity_continuous(UNIFORM)
@@ -529,20 +545,25 @@ def _left_edge_ladder(density, n_states):
 @pytest.mark.parametrize("density, want", [
     # Three Euler bands; the first alone gave 0.1240 against a best
     # outage rate of 0.1410.
-    (TWO_BUMPS, 0.14096928),
-    (BELOW_LADDER_LAW, 0.07595745),
-    (_piecewise_linear(*SPLIT_BAND), 0.30009845),
+    (TWO_BUMPS, 0.140959980),
+    (BELOW_LADDER_LAW, 0.075957419),
+    (_piecewise_linear(*SPLIT_BAND), 0.300097815),
 ], ids=["two_bumps", "below_ladder", "split_band"])
 def test_expected_capacity_multi_band_sandwich(density, want):
     # Each law's pointwise optima fall somewhere in [p_l, p_u], and the
     # pooled solve lies between the 4096-state right-edge (achievable)
-    # and left-edge ladders.
+    # and left-edge ladders, below the Richardson value of the two
+    # right-edge ladders (4 L(8192) - L(4096))/3 by 1.7e-8, 1.0e-9 and
+    # 2.3e-9.
     ce = expected_capacity_continuous(density)
     assert ce == pytest.approx(want, abs=5e-9)
     assert optimize_discrete(*discretize_density(density, 4096))[1] - 1e-9 <= ce
     assert ce <= _left_edge_ladder(density, 4096) + 1e-9
+    # Summation by parts: the staircase weighted by the mass of each
+    # cell (0, g_1], (g_1, g_2], ... is the same expected rate.
     prof = rate_profile(solve_layering(density))
-    assert abs(layering._expected_rate(density, prof) - ce) <= 1e-6
+    cells = np.diff(density.cdf(np.append(prof.grid[1:], prof.grid[-1])), prepend=0.0)
+    assert abs(float(np.dot(cells, prof.rates)) - ce) <= 1e-12
 
 
 def test_top_layer_alone():
@@ -1015,27 +1036,30 @@ def test_solver_certificates_raise_solver_error(monkeypatch):
     with pytest.raises(SolverError, match="first-order"):
         optimize_discrete([0.14, 0.86], [0.05, 0.3])
     monkeypatch.undo()
-    real = layering._euler
-
-    def doubled_rates(lay):
-        increments, top, prof = real(lay)
-        return increments, top, RateProfile(lay.grid, 2.0 * prof.rates)
-
-    monkeypatch.setattr(layering, "_euler", doubled_rates)
     monkeypatch.setattr(layering, "_PROFILE_POINTS", 257)
-    with pytest.raises(SolverError, match="integral forms disagree"):
+    monkeypatch.setattr(layering, "mean_state_capacity", lambda density: 0.1)
+    with pytest.raises(SolverError, match="above the mean state capacity"):
+        expected_capacity_continuous(UNIFORM)
+    monkeypatch.undo()
+    monkeypatch.setattr(layering, "_PROFILE_POINTS", 257)
+    monkeypatch.setattr(layering, "optimize_discrete", lambda weights, p_states: (None, 0.2))
+    with pytest.raises(SolverError, match="below the 64-state ladder"):
         expected_capacity_continuous(UNIFORM)
 
 
 @pytest.mark.parametrize("width", [1e-8, 1e-6, 1e-4])
-def test_expected_capacity_rejects_answer_above_mean_state_capacity(width):
+def test_expected_capacity_on_steep_ramps(width):
     # All mass on [0, width], f falling linearly to 0: the band
-    # [p_l, p_u] is a few percent of the width, r climbs from 0 to near
-    # 1/2 across it, and the log-weighted integral of r' overshoots, to
-    # 3.41 at width 1e-8, where no code beats E[1 - h] = 0.9999999.
+    # [p_l, p_u] is a few percent of the width and r climbs from 0 to
+    # near 1/2 across it.  The trapezoid's log-weighted integral of r'
+    # overshot, to 3.41 at width 1e-8, where no code beats
+    # E[1 - h] = 0.9999999.  The code's value lies between the best
+    # outage rate and the mean state capacity: at width 1e-6,
+    # 0.99997863 <= 0.99997865 <= 0.99999247.
     law = ContinuousBscComposite(np.array([0.0, width, 0.5]), np.array([2.0 / width, 0.0, 0.0]))
-    with pytest.raises(SolverError, match="above the mean state capacity"):
-        expected_capacity_continuous(law)
+    ce = expected_capacity_continuous(law)
+    assert best_outage_rate(law)[1] <= ce <= mean_state_capacity(law)
+    assert rate_profile(solve_layering(law)).rates[0] <= 1.0
 
 
 def test_discretize_density():
@@ -1103,6 +1127,20 @@ def test_parametric_rates_below_optimum():
     assert all(v <= ce + 1e-9 for v in oc + fr)
     assert max(oc) > max(fr)
     assert max(oc) == pytest.approx(ce, abs=1e-3)
+
+
+@pytest.mark.parametrize("band", [find_cutoffs(UNIFORM), FULL_RANGE], ids=["optimal_cutoff", "full_range"])
+@pytest.mark.parametrize("gamma", [0.05, 0.1, 0.25, 1.0, 4.0, 10.0])
+def test_parametric_code_stays_below_capacities(band, gamma):
+    # A code's rate at state p never beats 1 - h(p), and its expected
+    # rate never beats C^e.  The trapezoid profile at gamma = 0.1 on the
+    # optimal-cutoff band gave p_l 0.4357 bits/use, above
+    # 1 - h(p_l) = 0.4262, and an expected rate of 0.118894 above
+    # C^e = 0.117345.
+    ps = np.linspace(0.0, 0.5, 1001)
+    rates = rate_profile(parametric_profile(band, gamma)).rate_at(ps)
+    assert np.all(rates <= bsc_capacity(ps) + 1e-12)
+    assert parametric_expected_rate(UNIFORM, band, gamma) <= expected_capacity_continuous(UNIFORM) + 1e-12
 
 
 def _bec_pair(a1, a2, w1):

@@ -25,7 +25,7 @@ LAW_CLASSES = {"StateLaw", "ContinuousBscComposite", "DiscreteComposite", "Gilbe
 PAPER_API = {
     "sample_state": "draws the state S that the composite channel holds for a block",
     "transmit": "one block through the component channel of a realized state",
-    "discrete_expected_rate": "expected rate of a given layered code; the optimizer tests' oracle",
+    "star": "the cascade crossover p * r of every layer rate; _layer_rates spells it out unchecked",
 }
 
 # Every defaulted parameter of a public callable, with why it is an
